@@ -13,6 +13,17 @@ Training is plain SGD with inverted dropout on the feature layer, optional
 gradient accumulation across batches, and an optional auxiliary head that
 predicts the gold country from the projected document vector (sharing the
 country embedding table as its output matrix).
+
+Every pass runs over a packed window of examples rather than one example at
+a time. The candidate rows of the window are concatenated, with one segment
+per example, so each layer is one matmul over all rows, and the softmax with
+its abstention slot is a segmented log-softmax over each segment. The six
+similarity columns are the country embedding against the projected mention,
+other-mentions and document vectors, then the feature-class embedding
+against the same three. Training packs batch_size * gradient_accumulation_steps
+examples per window: parameters are constant between updates, so gradient
+accumulation is the same computation as one larger batch. Scoring one toponym
+and the gradient check use a window of one example.
 """
 
 from __future__ import annotations
@@ -49,6 +60,11 @@ FEATURE_WIDTH = NUM_SIMILARITY_FEATURES + len(NUMERIC_FEATURE_NAMES)
 # hidden layer at the shared learning rate.
 _POP_LOG_SCALE = 0.1
 
+# Packing converts candidate rows from Python objects this many at a time:
+# converting a whole training set as one list of tuples adds about 1 MB to
+# peak RSS on the default world.
+_CONVERT_ROWS = 512
+
 _PARAM_ORDER = (
     "country_emb",
     "fclass_emb",
@@ -60,15 +76,21 @@ _PARAM_ORDER = (
     "null_bias",
 )
 
-# (feature column, embedding table, projected context vector)
-_SIMILARITY_COLUMNS = (
-    (0, "c", "pm"),
-    (1, "c", "po"),
-    (2, "c", "pd"),
-    (3, "f", "pm"),
-    (4, "f", "po"),
-    (5, "f", "pd"),
-)
+
+def _param_shapes(
+    config: RankerConfig, n_countries: int, n_fclasses: int, provider_dim: int
+) -> dict[str, tuple[int, ...]]:
+    e, h = config.embedding_dim, config.hidden_dim
+    return {
+        "country_emb": (n_countries, e),
+        "fclass_emb": (n_fclasses, e),
+        "context_proj": (e, provider_dim),
+        "hidden_w": (h, FEATURE_WIDTH),
+        "hidden_b": (h,),
+        "out_w": (h,),
+        "out_b": (1,),
+        "null_bias": (1,),
+    }
 
 
 class ModelFileError(Exception):
@@ -141,9 +163,21 @@ class RankerModel:
             raise ValueError("vocabulary row 0 must be the OOV token")
         self._country_rows = {c: i for i, c in enumerate(self.countries)}
         self._fclass_rows = {c: i for i, c in enumerate(self.feature_classes)}
+        if self.provider_dim < 1:
+            raise ValueError("provider_dim must be >= 1")
         missing = [name for name in _PARAM_ORDER if name not in self.params]
         if missing:
             raise ValueError(f"missing parameter arrays: {missing}")
+        shapes = _param_shapes(
+            self.config, len(self.countries), len(self.feature_classes), self.provider_dim
+        )
+        for name in _PARAM_ORDER:
+            if self.params[name].shape != shapes[name]:
+                raise ValueError(
+                    f"parameter {name} has shape {self.params[name].shape}, expected {shapes[name]}"
+                )
+            if not np.isfinite(self.params[name]).all():
+                raise ValueError(f"parameter {name} holds a non-finite value")
 
     @classmethod
     def initialize(
@@ -161,22 +195,14 @@ class RankerModel:
         rng = np.random.default_rng(config.seed)
         country_vocab = [OOV_TOKEN] + sorted(set(countries) - {"", OOV_TOKEN})
         fclass_vocab = [OOV_TOKEN] + sorted(set(feature_classes) - {"", OOV_TOKEN})
-        e, h, d = config.embedding_dim, config.hidden_dim, provider_dim
-
-        def uniform(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+        shapes = _param_shapes(config, len(country_vocab), len(fclass_vocab), provider_dim)
+        e, h = config.embedding_dim, config.hidden_dim
+        fan_ins = (e, e, provider_dim, FEATURE_WIDTH, FEATURE_WIDTH, h, h)
+        params = {}
+        for name, fan_in in zip(_PARAM_ORDER, fan_ins):
             limit = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-limit, limit, size=shape)
-
-        params = {
-            "country_emb": uniform((len(country_vocab), e), e),
-            "fclass_emb": uniform((len(fclass_vocab), e), e),
-            "context_proj": uniform((e, d), d),
-            "hidden_w": uniform((h, FEATURE_WIDTH), FEATURE_WIDTH),
-            "hidden_b": uniform((h,), FEATURE_WIDTH),
-            "out_w": uniform((h,), h),
-            "out_b": uniform((1,), h),
-            "null_bias": np.zeros(1, dtype=np.float64),
-        }
+            params[name] = rng.uniform(-limit, limit, size=shapes[name])
+        params["null_bias"] = np.zeros(1, dtype=np.float64)
         return cls(
             config=config,
             provider_dim=provider_dim,
@@ -251,15 +277,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_softmax(q: np.ndarray) -> tuple[np.ndarray, float]:
-    top = float(np.max(q))
-    lse = top + float(np.log(np.sum(np.exp(q - top))))
-    return q - lse, lse
-
-
 def _numeric_matrix(features: Sequence[CandidateFeatures], use_population: bool) -> np.ndarray:
-    rows = np.array(
-        [
+    rows = np.empty((len(features), len(NUMERIC_FEATURE_NAMES)), dtype=np.float64)
+    for start in range(0, len(features), _CONVERT_ROWS):
+        rows[start : start + _CONVERT_ROWS] = [
             (
                 f.min_edit_distance,
                 f.avg_edit_distance,
@@ -270,19 +291,130 @@ def _numeric_matrix(features: Sequence[CandidateFeatures], use_population: bool)
                 float(f.has_adm1_parent_in_doc),
                 f.shared_country_fraction,
             )
-            for f in features
-        ],
-        dtype=np.float64,
-    )
-    if not np.all(np.isfinite(rows)):
+            for f in features[start : start + _CONVERT_ROWS]
+        ]
+    if not np.isfinite(rows).all():
         raise ValueError("candidate features must be finite")
     return rows
 
 
-def _cosine(rows: np.ndarray, row_norms: np.ndarray, v: np.ndarray, v_norm: float) -> np.ndarray:
-    denom = row_norms * v_norm
-    out = np.zeros(rows.shape[0], dtype=np.float64)
-    np.divide(rows @ v, denom, out=out, where=denom > 0.0)
+@dataclass
+class _PackedCandidates:
+    """Vocabulary rows and numeric columns of every candidate of a list of
+    examples, concatenated in example order. Example i owns the rows
+    offsets[i]:offsets[i + 1]."""
+
+    country_rows: np.ndarray
+    fclass_rows: np.ndarray
+    numeric: np.ndarray
+    offsets: np.ndarray
+
+
+def _pack_candidates(
+    model: RankerModel, examples: Sequence[RankingExample]
+) -> _PackedCandidates:
+    for ex in examples:
+        if ex.context.dimension != model.provider_dim:
+            raise ModelDimensionError(
+                f"context dimension {ex.context.dimension} != model provider_dim {model.provider_dim}"
+            )
+    flat = [f for ex in examples for f in ex.features]
+    offsets = np.zeros(len(examples) + 1, dtype=np.intp)
+    np.cumsum([len(ex.features) for ex in examples], out=offsets[1:])
+    return _PackedCandidates(
+        country_rows=np.array([model.country_row(f.candidate_country) for f in flat], np.intp),
+        fclass_rows=np.array([model.fclass_row(f.candidate_feature_class) for f in flat], np.intp),
+        numeric=_numeric_matrix(flat, model.config.use_population_feature),
+        offsets=offsets,
+    )
+
+
+@dataclass
+class _Window:
+    """Examples packed for one pass of the kernel. Segment b is the candidate
+    rows starts[b]:starts[b] + counts[b]; its abstention slot is slot
+    counts[b]. contexts[b] stacks the mention, other-mentions and document
+    vectors; gold_countries[b] is -1 when the example has no gold country."""
+
+    country_rows: np.ndarray
+    fclass_rows: np.ndarray
+    numeric: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    segment: np.ndarray
+    contexts: np.ndarray
+    gold_slots: np.ndarray
+    gold_countries: np.ndarray
+
+
+def _window(
+    model: RankerModel,
+    packed: _PackedCandidates,
+    examples: Sequence[RankingExample],
+    idx: np.ndarray,
+) -> _Window:
+    """Gather the examples idx (positions in the packed list) into a window,
+    in the order given."""
+    lo = packed.offsets[idx]
+    counts = packed.offsets[idx + 1] - lo
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    rows = np.repeat(lo - starts, counts) + np.arange(ends[-1])
+    chosen = [examples[i] for i in idx]
+    return _Window(
+        country_rows=packed.country_rows[rows],
+        fclass_rows=packed.fclass_rows[rows],
+        numeric=packed.numeric[rows],
+        starts=starts,
+        counts=counts,
+        segment=np.repeat(np.arange(len(idx)), counts),
+        contexts=np.array(
+            [
+                (c.mention_vector, c.other_mentions_vector, c.document_vector)
+                for c in (ex.context for ex in chosen)
+            ],
+            dtype=np.float64,
+        ),
+        gold_slots=np.array([ex.gold_slot for ex in chosen], dtype=np.intp),
+        gold_countries=np.array(
+            [model.country_row(ex.gold_country) if ex.gold_country else -1 for ex in chosen],
+            dtype=np.intp,
+        ),
+    )
+
+
+def _dropout_mask(model: RankerModel, rng: np.random.Generator, rows: int) -> np.ndarray | None:
+    """Inverted-dropout mask for `rows` feature rows, or None without dropout."""
+    rate = model.config.dropout
+    if rate == 0.0:
+        return None
+    keep = rng.random((rows, FEATURE_WIDTH)) >= rate
+    return keep.astype(np.float64) / (1.0 - rate)
+
+
+def _segment_log_softmax(
+    q: np.ndarray, q_null: float, starts: np.ndarray, segment: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax over each segment's values of q plus one abstention slot
+    of value q_null. Returns the row values and the (B,) abstention values."""
+    top = np.maximum(np.maximum.reduceat(q, starts), q_null)
+    total = np.add.reduceat(np.exp(q - top[segment]), starts) + np.exp(q_null - top)
+    lse = top + np.log(total)
+    return q - lse[segment], q_null - lse
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _cosines(
+    rows: np.ndarray, row_norms: np.ndarray, vecs: np.ndarray, vec_norms: np.ndarray
+) -> np.ndarray:
+    """cos(rows[r], vecs[r, k]) as an (R, 3) array; 0 where a norm is 0."""
+    denom = row_norms[:, None] * vec_norms
+    out = np.zeros_like(denom)
+    np.divide(np.einsum("re,rke->rk", rows, vecs), denom, out=out, where=denom > 0.0)
     return out
 
 
@@ -290,195 +422,179 @@ def _cosine_backward(
     g: np.ndarray,
     rows: np.ndarray,
     row_norms: np.ndarray,
-    v: np.ndarray,
-    v_norm: float,
     cos: np.ndarray,
+    cache: dict,
+    starts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of sum(g * cos(rows, v)) with respect to rows and v.
+    """Gradients of sum(g * cos) with respect to the candidate rows (R, e)
+    and the projected context vectors (B, 3, e).
 
     Zero-norm inputs contributed a constant 0 similarity, so their gradient
     is zero on both sides.
     """
-    valid = (row_norms > 0.0) & (v_norm > 0.0)
+    vecs, vec_norms = cache["vecs"], cache["vec_norms"]
+    valid = (row_norms[:, None] > 0.0) & (vec_norms > 0.0)
     gi = np.where(valid, g, 0.0)
-    safe_norms = np.where(valid, row_norms, 1.0)
-    denom = np.where(valid, safe_norms * v_norm, 1.0)
-    d_rows = gi[:, None] * (v[None, :] / denom[:, None] - (cos / safe_norms**2)[:, None] * rows)
-    if v_norm > 0.0:
-        d_v = (gi / denom) @ rows - float(np.dot(gi, cos)) * v / v_norm**2
-    else:
-        d_v = np.zeros_like(v)
-    return d_rows, d_v
+    safe_norms = np.where(valid, row_norms[:, None], 1.0)
+    scale = gi / np.where(valid, safe_norms * vec_norms, 1.0)
+    radial = gi * cos
+    d_rows = np.einsum("rk,rke->re", scale, vecs)
+    d_rows -= (radial / safe_norms**2).sum(axis=1)[:, None] * rows
+    squared = cache["proj_norms"] ** 2
+    inv_squared = np.divide(1.0, squared, out=np.zeros_like(squared), where=squared > 0.0)
+    d_proj = np.add.reduceat(scale[:, :, None] * rows[:, None, :], starts, axis=0)
+    d_proj -= (np.add.reduceat(radial, starts, axis=0) * inv_squared)[:, :, None] * cache["proj"]
+    return d_rows, d_proj
 
 
-def _forward(
-    model: RankerModel,
-    features: Sequence[CandidateFeatures],
-    context: ContextVectors,
-    *,
-    training: bool,
-    rng: np.random.Generator | None,
-) -> dict:
-    if not features:
-        raise ValueError("cannot score an empty candidate list")
-    if context.dimension != model.provider_dim:
-        raise ModelDimensionError(
-            f"context dimension {context.dimension} != model provider_dim {model.provider_dim}"
-        )
+def _window_forward(model: RankerModel, w: _Window, mask: np.ndarray | None) -> dict:
+    """Score every segment of the window: one matmul per layer over all rows,
+    then a segmented log-softmax. mask is the dropout mask or None."""
     p = model.params
-    cfg = model.config
+    proj = w.contexts @ p["context_proj"].T
+    proj_norms = _norms(proj)
+    vecs = proj[w.segment]
+    vec_norms = proj_norms[w.segment]
+    ec = p["country_emb"][w.country_rows]
+    ef = p["fclass_emb"][w.fclass_rows]
+    norm_c = _norms(ec)
+    norm_f = _norms(ef)
+    sims = np.concatenate(
+        [_cosines(ec, norm_c, vecs, vec_norms), _cosines(ef, norm_f, vecs, vec_norms)], axis=1
+    )
+    x = np.concatenate([sims, w.numeric], axis=1)
+    xd = x if mask is None else x * mask
 
-    ci = np.array([model.country_row(f.candidate_country) for f in features], dtype=np.intp)
-    fi = np.array([model.fclass_row(f.candidate_feature_class) for f in features], dtype=np.intp)
-    u = _numeric_matrix(features, cfg.use_population_feature)
-
-    proj = p["context_proj"]
-    pm = proj @ context.mention_vector
-    po = proj @ context.other_mentions_vector
-    pd = proj @ context.document_vector
-
-    ec = p["country_emb"][ci]
-    ef = p["fclass_emb"][fi]
-    norm_c = np.linalg.norm(ec, axis=1)
-    norm_f = np.linalg.norm(ef, axis=1)
-    proj_vecs = {"pm": pm, "po": po, "pd": pd}
-    proj_norms = {k: float(np.linalg.norm(v)) for k, v in proj_vecs.items()}
-
-    n = len(features)
-    sims = np.zeros((n, NUM_SIMILARITY_FEATURES), dtype=np.float64)
-    for col, table, vec_key in _SIMILARITY_COLUMNS:
-        rows, norms = (ec, norm_c) if table == "c" else (ef, norm_f)
-        sims[:, col] = _cosine(rows, norms, proj_vecs[vec_key], proj_norms[vec_key])
-
-    x = np.hstack([sims, u])
-    if training and cfg.dropout > 0.0:
-        if rng is None:
-            raise ValueError("training-mode forward needs a random generator for dropout")
-        keep = rng.random(x.shape) >= cfg.dropout
-        mask = keep.astype(np.float64) / (1.0 - cfg.dropout)
-    else:
-        mask = np.ones_like(x)
-    xd = x * mask
-
-    act = xd @ p["hidden_w"].T + p["hidden_b"]
-    hidden = np.tanh(act)
+    hidden = np.tanh(xd @ p["hidden_w"].T + p["hidden_b"])
     z = hidden @ p["out_w"] + p["out_b"][0]
     scores = _sigmoid(z)
-    null_score = float(_sigmoid(p["null_bias"])[0])
-
-    if cfg.score_mode == "sigmoid":
-        q = np.concatenate([scores, [null_score]])
+    if model.config.score_mode == "sigmoid":
+        null_score = float(_sigmoid(p["null_bias"])[0])
+        q, q_null = scores, null_score
     else:
-        q = np.concatenate([z, p["null_bias"]])
-    log_probs, _ = _log_softmax(q)
-    probs = np.exp(log_probs)
+        null_score = None
+        q, q_null = z, float(p["null_bias"][0])
+    log_probs, log_null = _segment_log_softmax(q, q_null, w.starts, w.segment)
 
     return {
-        "ci": ci,
-        "fi": fi,
+        "proj": proj,
+        "proj_norms": proj_norms,
+        "vecs": vecs,
+        "vec_norms": vec_norms,
         "ec": ec,
         "ef": ef,
         "norm_c": norm_c,
         "norm_f": norm_f,
-        "proj_vecs": proj_vecs,
-        "proj_norms": proj_norms,
-        "context": context,
         "sims": sims,
         "mask": mask,
         "xd": xd,
         "hidden": hidden,
-        "z": z,
         "scores": scores,
         "null_score": null_score,
-        "q": q,
         "log_probs": log_probs,
-        "probs": probs,
+        "log_null": log_null,
     }
 
 
-def _loss_from_cache(model: RankerModel, cache: dict, gold_slot: int, gold_country: str) -> float:
-    loss = -float(cache["log_probs"][gold_slot])
+def _gold_rows(w: _Window) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) flags for a gold abstention slot, and the packed row of each gold
+    candidate (the segment start where the abstention slot is gold)."""
+    null_gold = w.gold_slots == w.counts
+    return null_gold, w.starts + np.where(null_gold, 0, w.gold_slots)
+
+
+def _window_loss(
+    model: RankerModel, w: _Window, cache: dict
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Per-example loss: cross-entropy on the gold slot, plus the weighted
+    cross-entropy of the country head for examples with a gold country.
+    Also returns (examples with a gold country, the head's log-probabilities),
+    or None when the head is off for this window."""
+    null_gold, gold_rows = _gold_rows(w)
+    losses = -np.where(null_gold, cache["log_null"], cache["log_probs"][gold_rows])
     weight = model.config.multitask_country_weight
-    if weight > 0.0 and gold_country:
-        t = model.params["country_emb"] @ cache["proj_vecs"]["pd"]
-        log_pt, _ = _log_softmax(t)
-        loss += weight * -float(log_pt[model.country_row(gold_country)])
-    return loss
+    has_country = w.gold_countries >= 0
+    if weight == 0.0 or not has_country.any():
+        return losses, None
+    t = cache["proj"][has_country, 2] @ model.params["country_emb"].T
+    top = t.max(axis=1, keepdims=True)
+    log_pt = t - (top + np.log(np.exp(t - top).sum(axis=1, keepdims=True)))
+    gold_pt = log_pt[np.arange(len(t)), w.gold_countries[has_country]]
+    losses[has_country] += weight * -gold_pt
+    return losses, (has_country, log_pt)
 
 
-def _backward(
-    model: RankerModel, cache: dict, gold_slot: int, gold_country: str
-) -> tuple[float, dict[str, np.ndarray]]:
+def _window_backward(
+    model: RankerModel, w: _Window, cache: dict
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-example losses and the gradients summed over the window."""
     p = model.params
-    cfg = model.config
-    n = len(cache["scores"])
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    losses, head = _window_loss(model, w, cache)
 
-    loss = -float(cache["log_probs"][gold_slot])
-
-    dq = cache["probs"].copy()
-    dq[gold_slot] -= 1.0
-    if cfg.score_mode == "sigmoid":
+    null_gold, gold_rows = _gold_rows(w)
+    dq = np.exp(cache["log_probs"])
+    dq[gold_rows[~null_gold]] -= 1.0
+    dq_null = np.exp(cache["log_null"])
+    dq_null[null_gold] -= 1.0
+    if model.config.score_mode == "sigmoid":
         s = cache["scores"]
-        dz = dq[:n] * s * (1.0 - s)
+        dz = dq * s * (1.0 - s)
         s_null = cache["null_score"]
-        grads["null_bias"][0] = dq[n] * s_null * (1.0 - s_null)
+        d_null = np.sum(dq_null * s_null * (1.0 - s_null))
     else:
-        dz = dq[:n].copy()
-        grads["null_bias"][0] = dq[n]
+        dz = dq
+        d_null = np.sum(dq_null)
 
     hidden = cache["hidden"]
-    grads["out_w"] += hidden.T @ dz
-    grads["out_b"][0] = float(np.sum(dz))
-    d_hidden = dz[:, None] * p["out_w"][None, :]
-    d_act = d_hidden * (1.0 - hidden**2)
-    grads["hidden_w"] += d_act.T @ cache["xd"]
-    grads["hidden_b"] += d_act.sum(axis=0)
-    dx = (d_act @ p["hidden_w"]) * cache["mask"]
-    d_sims = dx[:, :NUM_SIMILARITY_FEATURES]
+    d_act = (dz[:, None] * p["out_w"][None, :]) * (1.0 - hidden**2)
+    dx = d_act @ p["hidden_w"]
+    if cache["mask"] is not None:
+        dx *= cache["mask"]
+    sims = cache["sims"]
+    d_ec, d_proj = _cosine_backward(
+        dx[:, 0:3], cache["ec"], cache["norm_c"], sims[:, 0:3], cache, w.starts
+    )
+    d_ef, d_proj_f = _cosine_backward(
+        dx[:, 3:6], cache["ef"], cache["norm_f"], sims[:, 3:6], cache, w.starts
+    )
+    d_proj += d_proj_f
 
-    d_proj_vecs = {k: np.zeros_like(v) for k, v in cache["proj_vecs"].items()}
-    d_ec = np.zeros_like(cache["ec"])
-    d_ef = np.zeros_like(cache["ef"])
-    for col, table, vec_key in _SIMILARITY_COLUMNS:
-        rows, norms, acc = (
-            (cache["ec"], cache["norm_c"], d_ec)
-            if table == "c"
-            else (cache["ef"], cache["norm_f"], d_ef)
-        )
-        d_rows, d_v = _cosine_backward(
-            d_sims[:, col],
-            rows,
-            norms,
-            cache["proj_vecs"][vec_key],
-            cache["proj_norms"][vec_key],
-            cache["sims"][:, col],
-        )
-        acc += d_rows
-        d_proj_vecs[vec_key] += d_v
+    grads = {
+        "country_emb": np.zeros_like(p["country_emb"]),
+        "fclass_emb": np.zeros_like(p["fclass_emb"]),
+        "hidden_w": d_act.T @ cache["xd"],
+        "hidden_b": d_act.sum(axis=0),
+        "out_w": hidden.T @ dz,
+        "out_b": np.array([np.sum(dz)]),
+        "null_bias": np.array([d_null]),
+    }
+    np.add.at(grads["country_emb"], w.country_rows, d_ec)
+    np.add.at(grads["fclass_emb"], w.fclass_rows, d_ef)
 
-    np.add.at(grads["country_emb"], cache["ci"], d_ec)
-    np.add.at(grads["fclass_emb"], cache["fi"], d_ef)
-
-    weight = cfg.multitask_country_weight
-    if weight > 0.0 and gold_country:
-        pd_vec = cache["proj_vecs"]["pd"]
-        t = p["country_emb"] @ pd_vec
-        log_pt, _ = _log_softmax(t)
-        gc = model.country_row(gold_country)
-        loss += weight * -float(log_pt[gc])
+    if head is not None:
+        has_country, log_pt = head
         dt = np.exp(log_pt)
-        dt[gc] -= 1.0
-        dt *= weight
-        grads["country_emb"] += np.outer(dt, pd_vec)
-        d_proj_vecs["pd"] += p["country_emb"].T @ dt
+        dt[np.arange(len(dt)), w.gold_countries[has_country]] -= 1.0
+        dt *= model.config.multitask_country_weight
+        grads["country_emb"] += dt.T @ cache["proj"][has_country, 2]
+        d_proj[has_country, 2] += dt @ p["country_emb"]
 
-    ctx = cache["context"]
-    grads["context_proj"] += np.outer(d_proj_vecs["pm"], ctx.mention_vector)
-    grads["context_proj"] += np.outer(d_proj_vecs["po"], ctx.other_mentions_vector)
-    grads["context_proj"] += np.outer(d_proj_vecs["pd"], ctx.document_vector)
+    e, d = p["context_proj"].shape
+    grads["context_proj"] = d_proj.reshape(-1, e).T @ w.contexts.reshape(-1, d)
+    return losses, grads
 
-    return loss, grads
+
+def _predicted_slots(probs: np.ndarray, null_probs: np.ndarray, w: _Window) -> np.ndarray:
+    """Argmax of each segment's distribution, abstention slot last. As with
+    np.argmax, ties go to the lowest slot and a NaN counts as the maximum."""
+    best = np.maximum(np.maximum.reduceat(probs, w.starts), null_probs)
+    hit = (probs == best[w.segment]) | np.isnan(probs)
+    slot = np.arange(len(probs)) - w.starts[w.segment]
+    return np.minimum.reduceat(np.where(hit, slot, w.counts[w.segment]), w.starts)
+
+
+def _single_window(model: RankerModel, example: RankingExample) -> _Window:
+    return _window(model, _pack_candidates(model, [example]), [example], np.zeros(1, dtype=np.intp))
 
 
 def score_candidates(
@@ -490,26 +606,38 @@ def score_candidates(
 ) -> ScoredCandidateSet:
     """Score one toponym's candidates. The returned probabilities have one
     extra slot at the end for abstention; raw_scores are the per-candidate
-    sigmoid outputs. Ties in the argmax go to the lowest slot."""
+    sigmoid outputs. Ties in the argmax go to the lowest slot. Raises
+    ValueError when a probability is not finite, which only a non-finite
+    parameter can cause."""
+    w = _single_window(model, RankingExample(list(features), context, gold_slot=0))
     if training_mode and rng is None:
         rng = np.random.default_rng(model.config.seed)
-    cache = _forward(model, features, context, training=training_mode, rng=rng)
-    probs = cache["probs"]
+    mask = _dropout_mask(model, rng, len(w.segment)) if training_mode else None
+    cache = _window_forward(model, w, mask)
+    probabilities = np.exp(np.append(cache["log_probs"], cache["log_null"]))
+    if not np.isfinite(probabilities).all():
+        raise ValueError(
+            "scoring produced a non-finite probability; the model parameters are not finite"
+        )
     return ScoredCandidateSet(
-        probabilities=probs,
+        probabilities=probabilities,
         raw_scores=cache["scores"],
-        predicted_slot=int(np.argmax(probs)),
+        predicted_slot=int(np.argmax(probabilities)),
     )
 
 
-def _dataset_accuracy(model: RankerModel, dataset: Sequence[RankingExample]) -> float:
-    if not dataset:
-        return 0.0
+def _dataset_accuracy(
+    model: RankerModel,
+    dataset: Sequence[RankingExample],
+    packed: _PackedCandidates,
+    batch_size: int,
+) -> float:
     hits = 0
-    for ex in dataset:
-        cache = _forward(model, ex.features, ex.context, training=False, rng=None)
-        if int(np.argmax(cache["probs"])) == ex.gold_slot:
-            hits += 1
+    for start in range(0, len(dataset), batch_size):
+        w = _window(model, packed, dataset, np.arange(start, min(start + batch_size, len(dataset))))
+        cache = _window_forward(model, w, None)
+        slots = _predicted_slots(np.exp(cache["log_probs"]), np.exp(cache["log_null"]), w)
+        hits += int(np.count_nonzero(slots == w.gold_slots))
     return hits / len(dataset)
 
 
@@ -528,51 +656,43 @@ def train(
     """SGD over shuffled examples. Updates are applied every
     gradient_accumulation_steps batches using the mean gradient of the
     accumulated examples; a trailing partial accumulation at the end of an
-    epoch still triggers an update. The model is modified in place."""
+    epoch still triggers an update. The examples of one update run as one
+    packed window. The model is modified in place."""
     cfg = config if config is not None else model.config
     if not dataset:
         raise ValueError("training dataset is empty")
-    for ex in dataset:
-        if ex.context.dimension != model.provider_dim:
-            raise ModelDimensionError(
-                f"example dimension {ex.context.dimension} != model provider_dim {model.provider_dim}"
-            )
+    packed = _pack_candidates(model, dataset)
+    eval_packed = _pack_candidates(model, eval_dataset) if eval_dataset else None
 
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
     n = len(dataset)
+    window = cfg.batch_size * cfg.gradient_accumulation_steps
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-        pending = 0
-        batches_since_step = 0
-        for start in range(0, n, cfg.batch_size):
-            for idx in order[start : start + cfg.batch_size]:
-                ex = dataset[idx]
-                cache = _forward(model, ex.features, ex.context, training=True, rng=rng)
-                loss, g = _backward(model, cache, ex.gold_slot, ex.gold_country)
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}, example {ex.doc_id or int(idx)}"
-                    )
-                epoch_loss += loss
-                for name in _PARAM_ORDER:
-                    grads[name] += g[name]
-                pending += 1
-            batches_since_step += 1
-            if batches_since_step >= cfg.gradient_accumulation_steps:
-                _apply_update(model, grads, cfg.learning_rate, pending)
-                grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-                pending = 0
-                batches_since_step = 0
-        if pending:
-            _apply_update(model, grads, cfg.learning_rate, pending)
+        for start in range(0, n, window):
+            idx = order[start : start + window]
+            w = _window(model, packed, dataset, idx)
+            cache = _window_forward(model, w, _dropout_mask(model, rng, len(w.segment)))
+            losses, grads = _window_backward(model, w, cache)
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:
+                i = int(idx[bad[0]])
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch}, example {dataset[i].doc_id or i}"
+                )
+            epoch_loss += float(np.sum(losses))
+            _apply_update(model, grads, cfg.learning_rate, len(idx))
         stats = EpochStats(
             epoch=epoch,
             train_loss=epoch_loss / n,
-            train_accuracy=_dataset_accuracy(model, dataset),
-            eval_accuracy=_dataset_accuracy(model, eval_dataset) if eval_dataset else None,
+            train_accuracy=_dataset_accuracy(model, dataset, packed, cfg.batch_size),
+            eval_accuracy=(
+                _dataset_accuracy(model, eval_dataset, eval_packed, cfg.batch_size)
+                if eval_packed is not None
+                else None
+            ),
         )
         history.append(stats)
     return model, history
@@ -589,12 +709,12 @@ def gradient_check(
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError("epsilon must be in [1e-6, 1e-3]")
 
-    cache = _forward(model, example.features, example.context, training=False, rng=None)
-    _, analytic = _backward(model, cache, example.gold_slot, example.gold_country)
+    w = _single_window(model, example)
+    _, analytic = _window_backward(model, w, _window_forward(model, w, None))
 
     def loss_now() -> float:
-        c = _forward(model, example.features, example.context, training=False, rng=None)
-        return _loss_from_cache(model, c, example.gold_slot, example.gold_country)
+        losses, _ = _window_loss(model, w, _window_forward(model, w, None))
+        return float(losses[0])
 
     worst = 0.0
     for name in _PARAM_ORDER:
@@ -678,11 +798,14 @@ def load_model(path: str) -> RankerModel:
         flat = np.frombuffer(payload[offset : offset + size], dtype="<f8")
         params[name] = flat.reshape(shape).astype(np.float64)
         offset += size
-    return RankerModel(
-        config=config,
-        provider_dim=provider_dim,
-        countries=countries,
-        feature_classes=feature_classes,
-        params=params,
-        metadata=metadata,
-    )
+    try:
+        return RankerModel(
+            config=config,
+            provider_dim=provider_dim,
+            countries=countries,
+            feature_classes=feature_classes,
+            params=params,
+            metadata=metadata,
+        )
+    except ValueError as exc:
+        raise ModelCorruptError(f"{path} does not describe a valid model: {exc}") from exc

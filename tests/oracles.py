@@ -1,13 +1,24 @@
 """Independent reference implementations used only to check the package.
 
 Deliberately written differently from the library code: the edit distance is
-a full-matrix DP, the trigram extraction is a one-liner, and the candidate
-scan is an exhaustive loop over every entry.
+a full-matrix DP, the trigram extraction is a one-liner, the candidate scan is
+an exhaustive loop over every entry, and the ranker runs one example at a time
+where the library packs a window of examples into one pass.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from placelink.gazetteer import GazetteerEntry, normalize_name
+from placelink.ranker import (
+    _PARAM_ORDER,
+    _POP_LOG_SCALE,
+    NUM_SIMILARITY_FEATURES,
+    ModelDimensionError,
+    TrainingDivergedError,
+    _apply_update,
+)
 
 
 def dp_edit_distance(a: str, b: str) -> int:
@@ -103,3 +114,266 @@ def reference_haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> f
     dl = math.radians(lon2 - lon1)
     a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
     return 2 * r * math.atan2(math.sqrt(a), math.sqrt(1 - a))
+
+
+# --- per-example ranker ------------------------------------------------------
+#
+# The ranker's original one-example-at-a-time forward and backward passes,
+# kept as the reference for the packed window kernel in placelink.ranker.
+
+# (feature column, embedding table, projected context vector)
+_SIMILARITY_COLUMNS = (
+    (0, "c", "pm"),
+    (1, "c", "po"),
+    (2, "c", "pd"),
+    (3, "f", "pm"),
+    (4, "f", "po"),
+    (5, "f", "pd"),
+)
+
+
+def _sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def log_softmax(q):
+    top = float(np.max(q))
+    lse = top + float(np.log(np.sum(np.exp(q - top))))
+    return q - lse, lse
+
+
+def _numeric_matrix(features, use_population):
+    rows = np.array(
+        [
+            (
+                f.min_edit_distance,
+                f.avg_edit_distance,
+                float(f.exact_match_flag),
+                f.alt_name_count_log,
+                f.population_log * _POP_LOG_SCALE if use_population else 0.0,
+                float(f.is_adm1_of_other_toponym),
+                float(f.has_adm1_parent_in_doc),
+                f.shared_country_fraction,
+            )
+            for f in features
+        ],
+        dtype=np.float64,
+    )
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("candidate features must be finite")
+    return rows
+
+
+def _cosine(rows, row_norms, v, v_norm):
+    denom = row_norms * v_norm
+    out = np.zeros(rows.shape[0], dtype=np.float64)
+    np.divide(rows @ v, denom, out=out, where=denom > 0.0)
+    return out
+
+
+def _cosine_backward(g, rows, row_norms, v, v_norm, cos):
+    valid = (row_norms > 0.0) & (v_norm > 0.0)
+    gi = np.where(valid, g, 0.0)
+    safe_norms = np.where(valid, row_norms, 1.0)
+    denom = np.where(valid, safe_norms * v_norm, 1.0)
+    d_rows = gi[:, None] * (v[None, :] / denom[:, None] - (cos / safe_norms**2)[:, None] * rows)
+    if v_norm > 0.0:
+        d_v = (gi / denom) @ rows - float(np.dot(gi, cos)) * v / v_norm**2
+    else:
+        d_v = np.zeros_like(v)
+    return d_rows, d_v
+
+
+def example_forward(model, features, context, *, training, rng):
+    """Forward pass over one example's candidates. Returns a cache dict
+    whose "probs" has the abstention slot last."""
+    if not features:
+        raise ValueError("cannot score an empty candidate list")
+    if context.dimension != model.provider_dim:
+        raise ModelDimensionError(
+            f"context dimension {context.dimension} != model provider_dim {model.provider_dim}"
+        )
+    p = model.params
+    cfg = model.config
+
+    ci = np.array([model.country_row(f.candidate_country) for f in features], dtype=np.intp)
+    fi = np.array([model.fclass_row(f.candidate_feature_class) for f in features], dtype=np.intp)
+    u = _numeric_matrix(features, cfg.use_population_feature)
+
+    proj = p["context_proj"]
+    proj_vecs = {
+        "pm": proj @ context.mention_vector,
+        "po": proj @ context.other_mentions_vector,
+        "pd": proj @ context.document_vector,
+    }
+    proj_norms = {k: float(np.linalg.norm(v)) for k, v in proj_vecs.items()}
+
+    ec = p["country_emb"][ci]
+    ef = p["fclass_emb"][fi]
+    norm_c = np.linalg.norm(ec, axis=1)
+    norm_f = np.linalg.norm(ef, axis=1)
+
+    n = len(features)
+    sims = np.zeros((n, NUM_SIMILARITY_FEATURES), dtype=np.float64)
+    for col, table, vec_key in _SIMILARITY_COLUMNS:
+        rows, norms = (ec, norm_c) if table == "c" else (ef, norm_f)
+        sims[:, col] = _cosine(rows, norms, proj_vecs[vec_key], proj_norms[vec_key])
+
+    x = np.hstack([sims, u])
+    if training and cfg.dropout > 0.0:
+        if rng is None:
+            raise ValueError("training-mode forward needs a random generator for dropout")
+        keep = rng.random(x.shape) >= cfg.dropout
+        mask = keep.astype(np.float64) / (1.0 - cfg.dropout)
+    else:
+        mask = np.ones_like(x)
+    xd = x * mask
+
+    hidden = np.tanh(xd @ p["hidden_w"].T + p["hidden_b"])
+    z = hidden @ p["out_w"] + p["out_b"][0]
+    scores = _sigmoid(z)
+    null_score = float(_sigmoid(p["null_bias"])[0])
+
+    if cfg.score_mode == "sigmoid":
+        q = np.concatenate([scores, [null_score]])
+    else:
+        q = np.concatenate([z, p["null_bias"]])
+    log_probs, _ = log_softmax(q)
+
+    return {
+        "ci": ci,
+        "fi": fi,
+        "ec": ec,
+        "ef": ef,
+        "norm_c": norm_c,
+        "norm_f": norm_f,
+        "proj_vecs": proj_vecs,
+        "proj_norms": proj_norms,
+        "context": context,
+        "sims": sims,
+        "mask": mask,
+        "xd": xd,
+        "hidden": hidden,
+        "scores": scores,
+        "null_score": null_score,
+        "log_probs": log_probs,
+        "probs": np.exp(log_probs),
+    }
+
+
+def example_backward(model, cache, gold_slot, gold_country):
+    """(loss, gradients) of one example from its forward cache."""
+    p = model.params
+    cfg = model.config
+    n = len(cache["scores"])
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+
+    loss = -float(cache["log_probs"][gold_slot])
+
+    dq = cache["probs"].copy()
+    dq[gold_slot] -= 1.0
+    if cfg.score_mode == "sigmoid":
+        s = cache["scores"]
+        dz = dq[:n] * s * (1.0 - s)
+        s_null = cache["null_score"]
+        grads["null_bias"][0] = dq[n] * s_null * (1.0 - s_null)
+    else:
+        dz = dq[:n].copy()
+        grads["null_bias"][0] = dq[n]
+
+    hidden = cache["hidden"]
+    grads["out_w"] += hidden.T @ dz
+    grads["out_b"][0] = float(np.sum(dz))
+    d_hidden = dz[:, None] * p["out_w"][None, :]
+    d_act = d_hidden * (1.0 - hidden**2)
+    grads["hidden_w"] += d_act.T @ cache["xd"]
+    grads["hidden_b"] += d_act.sum(axis=0)
+    dx = (d_act @ p["hidden_w"]) * cache["mask"]
+    d_sims = dx[:, :NUM_SIMILARITY_FEATURES]
+
+    d_proj_vecs = {k: np.zeros_like(v) for k, v in cache["proj_vecs"].items()}
+    d_ec = np.zeros_like(cache["ec"])
+    d_ef = np.zeros_like(cache["ef"])
+    for col, table, vec_key in _SIMILARITY_COLUMNS:
+        rows, norms, acc = (
+            (cache["ec"], cache["norm_c"], d_ec)
+            if table == "c"
+            else (cache["ef"], cache["norm_f"], d_ef)
+        )
+        d_rows, d_v = _cosine_backward(
+            d_sims[:, col],
+            rows,
+            norms,
+            cache["proj_vecs"][vec_key],
+            cache["proj_norms"][vec_key],
+            cache["sims"][:, col],
+        )
+        acc += d_rows
+        d_proj_vecs[vec_key] += d_v
+
+    np.add.at(grads["country_emb"], cache["ci"], d_ec)
+    np.add.at(grads["fclass_emb"], cache["fi"], d_ef)
+
+    weight = cfg.multitask_country_weight
+    if weight > 0.0 and gold_country:
+        pd_vec = cache["proj_vecs"]["pd"]
+        log_pt, _ = log_softmax(p["country_emb"] @ pd_vec)
+        gc = model.country_row(gold_country)
+        loss += weight * -float(log_pt[gc])
+        dt = np.exp(log_pt)
+        dt[gc] -= 1.0
+        dt *= weight
+        grads["country_emb"] += np.outer(dt, pd_vec)
+        d_proj_vecs["pd"] += p["country_emb"].T @ dt
+
+    ctx = cache["context"]
+    grads["context_proj"] += np.outer(d_proj_vecs["pm"], ctx.mention_vector)
+    grads["context_proj"] += np.outer(d_proj_vecs["po"], ctx.other_mentions_vector)
+    grads["context_proj"] += np.outer(d_proj_vecs["pd"], ctx.document_vector)
+
+    return loss, grads
+
+
+def train_per_example(model, dataset, config=None):
+    """The ranker's SGD loop one example at a time: gradients summed example
+    by example, an update every gradient_accumulation_steps batches and at
+    the end of an epoch. Modifies the model in place and returns the mean
+    loss of each epoch."""
+    cfg = config if config is not None else model.config
+    rng = np.random.default_rng(cfg.seed)
+    n = len(dataset)
+    epoch_losses = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+        pending = 0
+        batches_since_step = 0
+        for start in range(0, n, cfg.batch_size):
+            for idx in order[start : start + cfg.batch_size]:
+                ex = dataset[idx]
+                cache = example_forward(model, ex.features, ex.context, training=True, rng=rng)
+                loss, g = example_backward(model, cache, ex.gold_slot, ex.gold_country)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, example {ex.doc_id or int(idx)}"
+                    )
+                epoch_loss += loss
+                for name in _PARAM_ORDER:
+                    grads[name] += g[name]
+                pending += 1
+            batches_since_step += 1
+            if batches_since_step >= cfg.gradient_accumulation_steps:
+                _apply_update(model, grads, cfg.learning_rate, pending)
+                grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+                pending = 0
+                batches_since_step = 0
+        if pending:
+            _apply_update(model, grads, cfg.learning_rate, pending)
+        epoch_losses.append(epoch_loss / n)
+    return epoch_losses

@@ -3,9 +3,15 @@ and the model file format."""
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import example_backward, example_forward, train_per_example
 from placelink.features import CandidateFeatures, ContextVectors
 from placelink.ranker import (
     MODEL_MAGIC,
@@ -16,9 +22,14 @@ from placelink.ranker import (
     RankerModel,
     RankingExample,
     TrainingDivergedError,
-    _backward,
-    _forward,
-    _log_softmax,
+    _dropout_mask,
+    _pack_candidates,
+    _predicted_slots,
+    _segment_log_softmax,
+    _single_window,
+    _window,
+    _window_backward,
+    _window_forward,
     gradient_check,
     load_model,
     save_model,
@@ -64,6 +75,25 @@ def random_context(dim: int, rng: np.random.Generator) -> ContextVectors:
 def tiny_model(dim=16, e=4, h=5, seed=0, **cfg_overrides) -> RankerModel:
     cfg = RankerConfig(embedding_dim=e, hidden_dim=h, seed=seed, **cfg_overrides)
     return RankerModel.initialize(["FR", "US"], ["P", "A"], provider_dim=dim, config=cfg)
+
+
+def one_segment_log_softmax(q: np.ndarray) -> np.ndarray:
+    """The kernel's segmented log-softmax on one segment whose last value is
+    the abstention slot."""
+    rows, null = _segment_log_softmax(
+        q[:-1], q[-1], np.zeros(1, dtype=np.intp), np.zeros(len(q) - 1, dtype=np.intp)
+    )
+    return np.append(rows, null)
+
+
+def kernel_pass(model: RankerModel, example: RankingExample):
+    """Forward and backward of the packed kernel on a one-example window:
+    (probabilities with the abstention slot last, loss, gradients)."""
+    w = _single_window(model, example)
+    cache = _window_forward(model, w, None)
+    losses, grads = _window_backward(model, w, cache)
+    probs = np.append(np.exp(cache["log_probs"]), np.exp(cache["log_null"]))
+    return probs, float(losses[0]), grads
 
 
 def separable_dataset(n=50, dim=16, seed=0) -> list[RankingExample]:
@@ -219,8 +249,8 @@ class TestScoring:
         rng = np.random.default_rng(6)
         for _ in range(100):
             q = rng.normal(size=int(rng.integers(2, 8)))
-            shifted, _ = _log_softmax(q + float(rng.uniform(-50, 50)))
-            base, _ = _log_softmax(q)
+            shifted = one_segment_log_softmax(q + float(rng.uniform(-50, 50)))
+            base = one_segment_log_softmax(q)
             assert int(np.argmax(shifted)) == int(np.argmax(base))
 
     def test_unseen_codes_share_the_oov_row(self):
@@ -243,6 +273,15 @@ class TestScoring:
         with pytest.raises(ValueError):
             score_candidates(model, [feat(pop_log=float("nan"))], random_context(16, np.random.default_rng(0)))
 
+    def test_non_finite_parameter_rejected(self):
+        # a NaN would otherwise give score = nan and an argmax of slot 0
+        model = tiny_model()
+        model.params["hidden_w"][0, 0] = float("nan")
+        with pytest.raises(ValueError, match="non-finite"):
+            score_candidates(
+                model, [feat(), feat(country="US")], random_context(16, np.random.default_rng(0))
+            )
+
     def test_abstention_prediction(self):
         model = tiny_model()
         model.params["out_w"][:] = 0.0
@@ -263,6 +302,114 @@ class TestScoring:
         a = score_candidates(model, [feat()], ctx, training_mode=True)
         b = score_candidates(model, [feat()], ctx, training_mode=True)
         assert np.array_equal(a.probabilities, b.probabilities)
+
+
+class TestPackedKernel:
+    """The window kernel against the per-example oracle in tests/oracles.py."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+        score_mode=st.sampled_from(["sigmoid", "logit"]),
+        multitask=st.sampled_from([0.0, 0.5]),
+        population=st.booleans(),
+        dropout=st.sampled_from([0.0, 0.3]),
+        zero_oov_country=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_window_matches_per_example_oracle(
+        self, counts, score_mode, multitask, population, dropout, zero_oov_country, seed, data
+    ):
+        model = tiny_model(
+            dim=8,
+            e=4,
+            h=5,
+            seed=seed,
+            score_mode=score_mode,
+            multitask_country_weight=multitask,
+            use_population_feature=population,
+            dropout=dropout,
+        )
+        if zero_oov_country:
+            model.params["country_emb"][0] = 0.0  # zero-norm embedding rows
+        rng = np.random.default_rng(seed)
+        examples = []
+        for n in counts:
+            feats = [
+                feat(
+                    country=str(rng.choice(["FR", "US", "ZZ"])),
+                    fclass=str(rng.choice(["P", "A", "X"])),
+                    exact=int(rng.integers(0, 2)),
+                    min_edit=float(rng.uniform(0, 1)),
+                    pop_log=float(rng.uniform(0, 7)),
+                    shared=float(rng.uniform(0, 1)),
+                )
+                for _ in range(n)
+            ]
+            zero = data.draw(
+                st.tuples(st.booleans(), st.booleans(), st.booleans()), label="zero context"
+            )
+            context = ContextVectors(*(np.zeros(8) if z else rng.normal(size=8) for z in zero))
+            examples.append(
+                RankingExample(
+                    feats,
+                    context,
+                    gold_slot=data.draw(st.integers(0, n), label="gold slot"),
+                    gold_country=data.draw(
+                        st.sampled_from(["", "FR", "US", "ZZ"]), label="gold country"
+                    ),
+                )
+            )
+        order = data.draw(st.permutations(range(len(examples))), label="window order")
+
+        oracle_rng = np.random.default_rng(seed + 1)
+        oracle_losses, oracle_probs = [], []
+        oracle_grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+        for i in order:
+            ex = examples[i]
+            cache = example_forward(model, ex.features, ex.context, training=True, rng=oracle_rng)
+            loss, grads = example_backward(model, cache, ex.gold_slot, ex.gold_country)
+            oracle_losses.append(loss)
+            oracle_probs.append(cache["probs"])
+            for name in oracle_grads:
+                oracle_grads[name] += grads[name]
+
+        w = _window(model, _pack_candidates(model, examples), examples, np.array(order))
+        mask = _dropout_mask(model, np.random.default_rng(seed + 1), len(w.segment))
+        cache = _window_forward(model, w, mask)
+        losses, grads = _window_backward(model, w, cache)
+        probs = np.split(np.exp(cache["log_probs"]), w.starts[1:])
+        null_probs = np.exp(cache["log_null"])
+
+        np.testing.assert_allclose(losses, oracle_losses, rtol=0, atol=1e-12)
+        for b, expected in enumerate(oracle_probs):
+            np.testing.assert_allclose(
+                np.append(probs[b], null_probs[b]), expected, rtol=0, atol=1e-12
+            )
+        for name, expected in oracle_grads.items():
+            np.testing.assert_allclose(grads[name], expected, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_argmax_ties_go_to_lowest_slot(self):
+        model = tiny_model()
+        model.params["out_w"][:] = 0.0
+        model.params["out_b"][:] = 0.0
+        ctx = random_context(16, np.random.default_rng(0))
+        examples = [RankingExample([feat()] * n, ctx, gold_slot=0) for n in (3, 1, 2)]
+        w = _window(model, _pack_candidates(model, examples), examples, np.arange(3))
+        cache = _window_forward(model, w, None)
+        # every candidate and the abstention slot score 0.5: all slots tie
+        slots = _predicted_slots(np.exp(cache["log_probs"]), np.exp(cache["log_null"]), w)
+        assert slots.tolist() == [0, 0, 0]
+        # two candidates tie; a candidate ties the abstention slot; a NaN wins
+        probs = np.array([0.2, 0.4, 0.4, 0.5, 0.1, float("nan")])
+        null_probs = np.array([0.0, 0.5, 0.8])
+        assert _predicted_slots(probs, null_probs, w).tolist() == [1, 0, 1]
+        expected = [
+            int(np.argmax(np.append(seg, null)))
+            for seg, null in zip(np.split(probs, w.starts[1:]), null_probs)
+        ]
+        assert expected == [1, 0, 1]
 
 
 class TestRankingExample:
@@ -365,6 +512,33 @@ class TestTraining:
         for name in grouped.params:
             assert np.array_equal(grouped.params[name], plain.params[name]), name
 
+    def test_dropout_training_matches_per_example_loop(self):
+        data = [
+            RankingExample(
+                ex.features,
+                ex.context,
+                gold_slot=len(ex.features) if i % 5 == 0 else ex.gold_slot,
+                gold_country="FR" if i % 3 else "",
+            )
+            for i, ex in enumerate(separable_dataset(23))
+        ]
+        settings_ = dict(
+            seed=7,
+            epochs=2,
+            dropout=0.3,
+            batch_size=4,
+            gradient_accumulation_steps=2,
+            multitask_country_weight=0.3,
+        )
+        packed, history = train(tiny_model(**settings_), data)
+        oracle = tiny_model(**settings_)
+        oracle_losses = train_per_example(oracle, data)
+        for name in packed.params:
+            np.testing.assert_allclose(
+                packed.params[name], oracle.params[name], rtol=0, atol=1e-12, err_msg=name
+            )
+        assert [s.train_loss for s in history] == pytest.approx(oracle_losses, rel=0, abs=1e-12)
+
     def test_multitask_head_changes_training(self):
         rng = np.random.default_rng(11)
         data = [
@@ -433,9 +607,8 @@ class TestGradientCheck:
         example = RankingExample(
             [feat()], random_context(8, np.random.default_rng(16)), gold_slot=1
         )
-        cache = _forward(model, example.features, example.context, training=False, rng=None)
-        assert cache["probs"][1] < 1.0
-        _, grads = _backward(model, cache, example.gold_slot, "")
+        probs, _, grads = kernel_pass(model, example)
+        assert probs[1] < 1.0
         assert grads["null_bias"][0] < 0.0
 
     def test_saturated_example_has_vanishing_gradients(self):
@@ -445,8 +618,7 @@ class TestGradientCheck:
         example = RankingExample(
             [feat()], random_context(8, np.random.default_rng(17)), gold_slot=0
         )
-        cache = _forward(model, example.features, example.context, training=False, rng=None)
-        loss, grads = _backward(model, cache, example.gold_slot, "")
+        _, loss, grads = kernel_pass(model, example)
         assert loss < 1e-12
         assert max(float(np.max(np.abs(g))) for g in grads.values()) < 1e-8
 
@@ -505,11 +677,69 @@ class TestModelFile:
         with pytest.raises(ModelCorruptError):
             load_model(str(path))
 
+    @staticmethod
+    def rewrite(path, edit_header=None, edit_payload=None):
+        """Rewrite a model file with its JSON header and/or its parameter
+        payload edited in place, keeping the file well-formed otherwise."""
+        blob = open(path, "rb").read()
+        prefix = len(MODEL_MAGIC) + 8
+        (header_len,) = struct.unpack_from("<I", blob, len(MODEL_MAGIC) + 4)
+        header = json.loads(blob[prefix : prefix + header_len])
+        payload = bytearray(blob[prefix + header_len :])
+        if edit_header is not None:
+            edit_header(header)
+        if edit_payload is not None:
+            edit_payload(payload)
+        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(blob[: len(MODEL_MAGIC) + 4])
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            fh.write(bytes(payload))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # same byte count, so only the shape check can catch it
+            lambda h: h["params"][3].__setitem__(1, h["params"][3][1][::-1]),
+            lambda h: h.__setitem__("provider_dim", h["provider_dim"] + 1),
+            lambda h: h["countries"].append("XX"),
+            lambda h: h["feature_classes"].pop(),
+            lambda h: h["config"].__setitem__("embedding_dim", h["config"]["embedding_dim"] + 1),
+            lambda h: h["config"].__setitem__("hidden_dim", h["config"]["hidden_dim"] - 1),
+            lambda h: h["countries"].__setitem__(0, "AA"),
+        ],
+        ids=[
+            "hidden_w-transposed",
+            "provider_dim",
+            "extra-country",
+            "missing-feature-class",
+            "embedding_dim",
+            "hidden_dim",
+            "no-oov-row",
+        ],
+    )
+    def test_header_disagrees_with_parameters(self, tmp_path, edit):
+        _, path = self.make_trained(tmp_path)
+        self.rewrite(path, edit_header=edit)
+        with pytest.raises(ModelCorruptError):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("offset", [0, -8], ids=["first", "last"])
+    def test_non_finite_parameter(self, tmp_path, value, offset):
+        _, path = self.make_trained(tmp_path)
+
+        def poison(payload):
+            struct.pack_into("<d", payload, offset % len(payload), value)
+
+        self.rewrite(path, edit_payload=poison)
+        with pytest.raises(ModelCorruptError):
+            load_model(path)
+
     def test_bumped_version(self, tmp_path):
         _, path = self.make_trained(tmp_path)
         data = bytearray(open(path, "rb").read())
-        import struct
-
         struct.pack_into("<I", data, len(MODEL_MAGIC), 999)
         open(path, "wb").write(bytes(data))
         with pytest.raises(ModelVersionError):
