@@ -211,7 +211,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus_path = _require(cfg, "corpus_path", "--corpus")
     out_path = _require(cfg, "out_path", "--out")
     index = load_index(index_path)
-    entries = list(index.entry_store.values())
+    entries = index.entries()
     tables = build_admin_tables(entries)
     provider = hashed_bow_provider(cfg.provider_dim, cfg.seed)
     docs = load_corpus(corpus_path)
@@ -245,7 +245,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     out_path = _require(cfg, "out_path", "--out")
     index = load_index(index_path)
     model = load_model(model_path)
-    tables = build_admin_tables(list(index.entry_store.values()))
+    tables = build_admin_tables(index.entries())
     provider = _provider_for_model(model, cfg)
     docs = load_corpus(corpus_path)
     if cfg.extract:
@@ -297,7 +297,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     elif cfg.model_path and cfg.corpus_path and cfg.index_path:
         index = load_index(cfg.index_path)
         model = load_model(cfg.model_path)
-        tables = build_admin_tables(list(index.entry_store.values()))
+        tables = build_admin_tables(index.entries())
         provider = _provider_for_model(model, cfg)
         docs = load_corpus(cfg.corpus_path)
         records = resolve_corpus(docs, index, model, provider, tables, cfg.k, jobs=cfg.jobs)

@@ -13,6 +13,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 import numpy as np
@@ -28,60 +29,67 @@ _SPAN_NGRAM_SIZE = 4
 
 def edit_distance(a: str, b: str) -> int:
     """Unit-cost Levenshtein distance (insert/delete/substitute)."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    return _bit_parallel_distance(a, b, len(a) + len(b))
 
 
 def bounded_edit_distance(a: str, b: str, bound: int) -> int | None:
-    """Levenshtein distance if it is <= bound, else None.
-
-    Only cells within `bound` of the diagonal can matter, so each row is
-    restricted to that band and the scan bails out once the whole band
-    exceeds the bound.
-    """
+    """Levenshtein distance if it is <= bound, else None."""
     if abs(len(a) - len(b)) > bound:
         return None
     if a == b:
         return 0
     if bound == 0:
         return None
-    if len(a) < len(b):
-        a, b = b, a
-    la, lb = len(a), len(b)
-    inf = bound + 1
-    previous = list(range(lb + 1))
-    for i in range(1, la + 1):
-        lo = max(1, i - bound)
-        hi = min(lb, i + bound)
-        current = [inf] * (lb + 1)
-        if lo == 1:
-            current[0] = i
-        ca = a[i - 1]
-        row_min = current[0] if lo == 1 else inf
-        for j in range(lo, hi + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            value = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            current[j] = value
-            if value < row_min:
-                row_min = value
-        if row_min > bound:
+    return _bit_parallel_distance(a, b, bound)
+
+
+@lru_cache(maxsize=1024)
+def _match_masks(pattern: str) -> dict[str, int]:
+    """Per-character bit masks of the positions where it occurs in pattern."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for ch in pattern:
+        masks[ch] = masks.get(ch, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _bit_parallel_distance(a: str, b: str, bound: int) -> int | None:
+    """Myers' bit-parallel edit distance (Myers 1999, JACM 46(3), in Hyyro's
+    global form) on Python ints, so a can be any length.
+
+    Bit i of the vertical delta vectors pv/mv says whether D[i+1][j] is one
+    more / one less than D[i][j]; each character of b updates the whole column
+    in a few integer operations, and score tracks D[len(a)][j]. The score
+    moves by at most one per remaining character of b, so the scan stops
+    with None once score - remaining exceeds the bound.
+    """
+    m = len(a)
+    if not m:
+        return len(b) if len(b) <= bound else None
+    masks = _match_masks(a)
+    pv = (1 << m) - 1
+    mv = 0
+    score = m
+    high = 1 << (m - 1)
+    remaining = len(b)
+    for ch in b:
+        eq = masks.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        remaining -= 1
+        if score - remaining > bound:
             return None
-        previous = current
-    return previous[lb] if previous[lb] <= bound else None
+        ph = (ph << 1) | 1
+        pv = (mh << 1) | ~(xv | ph)
+        mv = ph & xv
+    return score if score <= bound else None
 
 
 @dataclass(frozen=True)

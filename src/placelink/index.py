@@ -6,23 +6,60 @@ blocking with bounded edit-distance verification for fuzzy matches. Candidates
 are ordered by (exact hit, smallest edit distance, log population), with ties
 broken by ascending geoname id so results are total and reproducible.
 
-The index is immutable once built and safe for concurrent queries.
+The index is columnar: numpy columns for the entry fields, UTF-8 arenas for
+the names, CSR postings for the n-grams. The file stores the same arrays, so
+loading maps them with ``np.frombuffer`` and derives only the two lookups;
+shared n-grams are counted in numpy, candidates are verified with the
+bit-parallel edit distance of :mod:`placelink.features`, and entries are
+materialised only for the rows a query returns. The index is immutable once
+built and safe for concurrent queries.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import operator
 import struct
 import zlib
-from collections import Counter
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import chain, pairwise
+from typing import Sequence
+
+import numpy as np
 
 from placelink.features import bounded_edit_distance
 from placelink.gazetteer import GazetteerEntry, normalize_name
 
 INDEX_MAGIC = b"PLGAZIDX"
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
+# magic, then u32 version, header length and crc32
+_PREAMBLE_BYTES = len(INDEX_MAGIC) + 12
+
+_CODE_COLUMNS = ("feature_class", "feature_code", "country_code", "admin1_code", "admin2_code")
+# every array of an index, with its little-endian dtype, in file order
+_ARRAYS = {
+    "geoname_id": "<i8",
+    "latitude": "<f8",
+    "longitude": "<f8",
+    "population": "<i8",
+    **{column: "<i4" for column in _CODE_COLUMNS},
+    "code_text": "|u1",
+    "code_offsets": "<i8",
+    "name_text": "|u1",
+    "name_offsets": "<i8",
+    "entry_names": "<i8",
+    "variant_text": "|u1",
+    "variant_offsets": "<i8",
+    "entry_variants": "<i8",
+    "variant_ids": "<i4",
+    "gram_text": "|u1",
+    "gram_offsets": "<i8",
+    "posting_offsets": "<i8",
+    "postings": "<i4",
+}
 
 # Scalar retrieval score packs the (exact, -edit distance, log population)
 # ordering tuple: the population term stays < 1e3 and edit distances < 1e3,
@@ -96,50 +133,285 @@ def char_ngrams(text: str, n: int) -> list[str]:
     return [text[i : i + n] for i in range(len(text) - n + 1)]
 
 
-@dataclass
 class GazetteerIndex:
-    config: IndexConfig
-    entry_store: dict[int, GazetteerEntry] = field(default_factory=dict)
-    exact_index: dict[str, list[int]] = field(default_factory=dict)
-    ngram_index: dict[str, list[int]] = field(default_factory=dict)
-    # normalized name variants per entry, the unit both trigram blocking and
-    # edit-distance scoring run over
-    variants: dict[int, list[str]] = field(default_factory=dict)
+    """Immutable columnar index; safe for concurrent queries.
+
+    ``arrays`` holds every column the index file stores (names and dtypes in
+    ``_ARRAYS``): the entry columns; the codes as indexes into one string
+    table; the raw names, the sorted distinct name variants and the sorted
+    n-grams as UTF-8 arenas cut by code-point offsets; each entry's variants
+    as ids into the variant table (``entry_variants`` offsets into
+    ``variant_ids``); and CSR postings of entry rows per n-gram. The
+    constructor validates the columns and derives the two lookups: the rows
+    of each variant (the transpose of ``variant_ids``, found by bisecting the
+    sorted variant table) and an n-gram -> posting slot dict. Entries are
+    materialised on first access and cached; an index from ``build_index``
+    starts with the entries it was built from.
+    """
+
+    def __init__(
+        self,
+        config: IndexConfig,
+        arrays: dict[str, np.ndarray],
+        entries: Sequence[GazetteerEntry] | None = None,
+    ):
+        _check_columns(arrays)
+        self.config = config
+        self.arrays = arrays
+        # distinct normalized name variants and n-grams, each sorted
+        self.variants = _sorted_strings(arrays, "variant")
+        self.grams = _sorted_strings(arrays, "gram")
+        if any(len(gram) != config.ngram_size for gram in self.grams):
+            raise ValueError(f"n-grams are not all {config.ngram_size} characters long")
+        self._gram_slot = dict(zip(self.grams, range(len(self.grams))))
+        self._posting_offsets = arrays["posting_offsets"].tolist()
+        self._entry_variants = arrays["entry_variants"].tolist()
+        self._variant_ids = arrays["variant_ids"].tolist()
+        self._codes = _strings(arrays, "code")
+        self._names = _text(arrays, "name")
+        n = len(arrays["geoname_id"])
+        variant_ids = arrays["variant_ids"]
+        pair_rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(arrays["entry_variants"]))
+        self._variant_rows = pair_rows[np.argsort(variant_ids, kind="stable")]
+        self._variant_row_offsets = _offsets(np.bincount(variant_ids, minlength=len(self.variants)))
+        self._entries: list[GazetteerEntry | None] = list(entries) if entries is not None else [None] * n
 
     def __len__(self) -> int:
-        return len(self.entry_store)
+        return len(self._entries)
 
     @property
     def name_count(self) -> int:
-        return len(self.exact_index)
+        """Distinct normalized name variants."""
+        return len(self.variants)
+
+    def exact_rows(self, name: str) -> tuple[int, ...]:
+        """Rows with a name variant equal to the normalized name, ascending."""
+        i = bisect_left(self.variants, name)
+        if i == len(self.variants) or self.variants[i] != name:
+            return ()
+        offsets = self._variant_row_offsets
+        return tuple(self._variant_rows[offsets[i] : offsets[i + 1]].tolist())
+
+    def fuzzy_rows(self, text: str) -> np.ndarray:
+        """Rows sharing at least ``fuzzy_min_shared_ngrams`` distinct n-grams
+        with text, ascending. A row occurs once in each posting list it is
+        on, so after a sort a run of equal rows is its shared count."""
+        need = self.config.fuzzy_min_shared_ngrams
+        slot_of, offsets = self._gram_slot, self._posting_offsets
+        slots = [slot_of[g] for g in set(char_ngrams(text, self.config.ngram_size)) if g in slot_of]
+        if len(slots) < need:
+            return _NO_ROWS
+        postings = self.arrays["postings"]
+        rows = np.concatenate([postings[offsets[s] : offsets[s + 1]] for s in slots])
+        rows.sort()
+        # keep each run's first row when the run is at least need long
+        last = len(rows) - need + 1
+        keep = np.empty(last, dtype=bool)
+        keep[0] = True
+        np.not_equal(rows[1:last], rows[: last - 1], out=keep[1:])
+        keep &= rows[need - 1 :] == rows[:last]
+        return rows[:last][keep]
+
+    def entries(self, rows: Sequence[int] | None = None) -> list[GazetteerEntry]:
+        """The entries at the given rows (every entry, in build order, by
+        default), materialised from the columns on first access and cached."""
+        cache = self._entries
+        rows = range(len(cache)) if rows is None else rows
+        missing = [row for row in rows if cache[row] is None]
+        if missing:
+            # no lock: threads racing on a row build it twice, and the
+            # copies are equal
+            for row, entry in zip(missing, self._materialise(missing)):
+                cache[row] = entry
+        return [cache[row] for row in rows]
+
+    def _materialise(self, rows: list[int]) -> list[GazetteerEntry]:
+        a, codes, text = self.arrays, self._codes, self._names
+        at = np.array(rows, dtype=np.int64)
+        name_offsets = a["name_offsets"]
+        columns = zip(
+            a["geoname_id"][at].tolist(),
+            a["latitude"][at].tolist(),
+            a["longitude"][at].tolist(),
+            a["population"][at].tolist(),
+            a["entry_names"][at].tolist(),
+            a["entry_names"][at + 1].tolist(),
+            *(map(codes.__getitem__, a[column][at].tolist()) for column in _CODE_COLUMNS),
+        )
+        entries = []
+        for gid, lat, lon, population, first, last, fclass, fcode, country, admin1, admin2 in columns:
+            bounds = name_offsets[first : last + 1].tolist()
+            names = [text[start:end] for start, end in pairwise(bounds)]
+            entries.append(
+                GazetteerEntry(
+                    geoname_id=gid,
+                    name=names[0],
+                    ascii_name=names[1],
+                    alternative_names=tuple(names[2:]),
+                    latitude=lat,
+                    longitude=lon,
+                    feature_class=fclass,
+                    feature_code=fcode,
+                    country_code=country,
+                    admin1_code=admin1,
+                    admin2_code=admin2,
+                    population=population,
+                )
+            )
+        return entries
 
 
-def build_index(entries: list[GazetteerEntry], config: IndexConfig | None = None) -> GazetteerIndex:
-    """Build the exact and trigram indexes over every name variant.
+_NO_ROWS = np.empty(0, dtype=np.int32)
+
+
+def build_index(entries: Sequence[GazetteerEntry], config: IndexConfig | None = None) -> GazetteerIndex:
+    """Build the columns and the n-gram postings over every name variant.
 
     Deterministic for a fixed entry order; raises ValueError on an empty
-    entry list.
+    entry list, a duplicate geoname id, or a value the index file refuses
+    (coordinates out of range, negative population, non-finite values).
     """
     if not entries:
         raise ValueError("cannot build an index from an empty entry list")
     config = config or IndexConfig()
-    index = GazetteerIndex(config=config)
-    exact: dict[str, set[int]] = {}
-    grams: dict[str, set[int]] = {}
-    for entry in entries:
-        gid = entry.geoname_id
-        index.entry_store[gid] = entry
-        names = entry.name_variants()
-        index.variants[gid] = names
-        entry_grams: set[str] = set()
-        for name in names:
-            exact.setdefault(name, set()).add(gid)
-            entry_grams.update(char_ngrams(name, config.ngram_size))
-        for gram in entry_grams:
-            grams.setdefault(gram, set()).add(gid)
-    index.exact_index = {name: sorted(ids) for name, ids in exact.items()}
-    index.ngram_index = {gram: sorted(ids) for gram, ids in grams.items()}
-    return index
+    codes = sorted({getattr(entry, column) for entry in entries for column in _CODE_COLUMNS})
+    code_of = {code: i for i, code in enumerate(codes)}
+    names: list[str] = []
+    entry_names = [0]
+    pairs: list[str] = []  # every entry's variants, entry after entry
+    entry_variants = [0]
+    postings: dict[str, list[int]] = {}
+    for row, entry in enumerate(entries):
+        names += (entry.name, entry.ascii_name, *entry.alternative_names)
+        entry_names.append(len(names))
+        own = entry.name_variants()
+        pairs += own
+        entry_variants.append(len(pairs))
+        grams: set[str] = set()
+        for name in own:
+            grams.update(char_ngrams(name, config.ngram_size))
+        for gram in grams:
+            rows = postings.get(gram)
+            if rows is None:
+                postings[gram] = [row]
+            else:
+                rows.append(row)
+    variants = sorted(set(pairs))
+    variant_id = dict(zip(variants, range(len(variants))))
+    gram_list = sorted(postings)
+    arrays = {
+        "geoname_id": np.array([e.geoname_id for e in entries], dtype=np.int64),
+        "latitude": np.array([e.latitude for e in entries], dtype=np.float64),
+        "longitude": np.array([e.longitude for e in entries], dtype=np.float64),
+        "population": np.array([e.population for e in entries], dtype=np.int64),
+        **{
+            column: np.array([code_of[getattr(e, column)] for e in entries], dtype=np.int32)
+            for column in _CODE_COLUMNS
+        },
+        **_string_table("code", codes),
+        **_string_table("name", names),
+        "entry_names": np.array(entry_names, dtype=np.int64),
+        **_string_table("variant", variants),
+        "entry_variants": np.array(entry_variants, dtype=np.int64),
+        "variant_ids": np.fromiter(map(variant_id.__getitem__, pairs), dtype=np.int32, count=len(pairs)),
+        **_string_table("gram", gram_list),
+        "posting_offsets": _offsets([len(postings[gram]) for gram in gram_list]),
+        "postings": np.fromiter(
+            chain.from_iterable(postings[gram] for gram in gram_list), dtype=np.int32
+        ),
+    }
+    return GazetteerIndex(config, arrays, entries)
+
+
+def _string_table(prefix: str, strings: Sequence[str]) -> dict[str, np.ndarray]:
+    blob = "".join(strings).encode("utf-8")
+    return {
+        f"{prefix}_text": np.frombuffer(blob, dtype=np.uint8),
+        f"{prefix}_offsets": _offsets(list(map(len, strings))),
+    }
+
+
+def _offsets(lengths: Sequence[int] | np.ndarray) -> np.ndarray:
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _text(arrays: dict[str, np.ndarray], prefix: str) -> str:
+    text = arrays[f"{prefix}_text"].tobytes().decode("utf-8")
+    _check_offsets(f"{prefix}_offsets", arrays[f"{prefix}_offsets"], len(text))
+    return text
+
+
+def _strings(arrays: dict[str, np.ndarray], prefix: str) -> list[str]:
+    text = _text(arrays, prefix)
+    return [text[start:end] for start, end in pairwise(arrays[f"{prefix}_offsets"].tolist())]
+
+
+def _sorted_strings(arrays: dict[str, np.ndarray], prefix: str) -> list[str]:
+    strings = _strings(arrays, prefix)
+    if any(map(operator.ge, strings, strings[1:])):
+        raise ValueError(f"{prefix} table is not sorted and distinct")
+    return strings
+
+
+def _check_offsets(name: str, offsets: np.ndarray, total: int) -> None:
+    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != total:
+        raise ValueError(f"{name} must run from 0 to {total}")
+    if np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError(f"{name} are not monotone")
+
+
+def _check_columns(arrays: dict[str, np.ndarray]) -> None:
+    """The one validator of index columns, for built and loaded indexes
+    alike; raises ValueError. String tables are checked as they decode."""
+    n = len(arrays["geoname_id"])
+    if n == 0:
+        raise ValueError("an index holds at least one entry")
+    for column in ("latitude", "longitude", "population", *_CODE_COLUMNS):
+        if len(arrays[column]) != n:
+            raise ValueError(f"{column} has {len(arrays[column])} values for {n} entries")
+    if len(arrays["posting_offsets"]) != len(arrays["gram_offsets"]):
+        raise ValueError("posting_offsets and gram_offsets disagree in length")
+    for column, total in (
+        ("entry_names", len(arrays["name_offsets"]) - 1),
+        ("entry_variants", len(arrays["variant_ids"])),
+    ):
+        if len(arrays[column]) != n + 1:
+            raise ValueError(f"{column} has {len(arrays[column])} offsets for {n} entries")
+        _check_offsets(column, arrays[column], total)
+    variant_ids = arrays["variant_ids"]
+    if np.any(variant_ids < 0) or np.any(variant_ids >= len(arrays["variant_offsets"]) - 1):
+        raise ValueError("a variant id points outside the variant table")
+    if np.any(np.diff(arrays["entry_names"]) < 2):
+        raise ValueError("every entry needs a name and an ascii name")
+    ids = np.sort(arrays["geoname_id"])
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if len(repeated):
+        raise ValueError(f"duplicate geoname id {repeated[0]}")
+    lat, lon = arrays["latitude"], arrays["longitude"]
+    if not (np.all(np.isfinite(lat)) and np.all(np.isfinite(lon))):
+        raise ValueError("coordinates must be finite")
+    if np.any(np.abs(lat) > 90.0) or np.any(np.abs(lon) > 180.0):
+        raise ValueError("latitude must lie in [-90, 90] and longitude in [-180, 180]")
+    if np.any(arrays["population"] < 0):
+        raise ValueError("population must be non-negative")
+    n_codes = len(arrays["code_offsets"]) - 1
+    for column in _CODE_COLUMNS:
+        codes = arrays[column]
+        if np.any(codes < 0) or np.any(codes >= n_codes):
+            raise ValueError(f"{column} points outside the code table")
+    offsets, postings = arrays["posting_offsets"], arrays["postings"]
+    _check_offsets("posting_offsets", offsets, len(postings))
+    if np.any(offsets[1:] == offsets[:-1]):
+        raise ValueError("an n-gram has no postings")
+    if np.any(postings < 0) or np.any(postings >= n):
+        raise ValueError("a posting points outside the entry rows")
+    # rows strictly ascend within each posting list
+    starts = np.zeros(len(postings), dtype=bool)
+    starts[offsets[:-1]] = True
+    if np.any(~starts[1:] & (postings[1:] <= postings[:-1])):
+        raise ValueError("posting lists are not strictly ascending")
 
 
 def retrieval_score(exact: bool, min_distance: int, population: int) -> float:
@@ -168,83 +440,87 @@ def query(index: GazetteerIndex, name: str, k: int | None = None) -> CandidateSe
     if not normalized:
         return CandidateSet(query_text=name, normalized_query=normalized, candidates=[])
 
-    exact_ids = set(index.exact_index.get(normalized, ()))
-
-    shared: Counter[int] = Counter()
-    for gram in set(char_ngrams(normalized, config.ngram_size)):
-        for gid in index.ngram_index.get(gram, ()):
-            shared[gid] += 1
-
-    scored: list[tuple[float, int]] = []
-    for gid in exact_ids:
-        entry = index.entry_store[gid]
-        scored.append((retrieval_score(True, 0, entry.population), gid))
-    max_dist = config.max_edit_distance
-    for gid, count in shared.items():
-        if gid in exact_ids or count < config.fuzzy_min_shared_ngrams:
+    population = index.arrays["population"]
+    ids = index.arrays["geoname_id"]
+    exact_rows = index.exact_rows(normalized)
+    # (score, geoname id, row)
+    scored = [(retrieval_score(True, 0, int(population[row])), int(ids[row]), row) for row in exact_rows]
+    exact = set(exact_rows)
+    bound = config.max_edit_distance
+    length = len(normalized)
+    variants, variant_ids, bounds = index.variants, index._variant_ids, index._entry_variants
+    for row in index.fuzzy_rows(normalized).tolist():
+        if row in exact:
             continue
-        best = _min_variant_distance(normalized, index.variants[gid], max_dist)
-        if best is None:
-            continue
-        entry = index.entry_store[gid]
-        scored.append((retrieval_score(False, best, entry.population), gid))
+        # no variant of a fuzzy row equals the query, so every length-eligible
+        # variant is verified
+        best = None
+        for variant_id in variant_ids[bounds[row] : bounds[row + 1]]:
+            variant = variants[variant_id]
+            if abs(len(variant) - length) > bound:
+                continue
+            dist = bounded_edit_distance(normalized, variant, bound)
+            if dist is not None and (best is None or dist < best):
+                best = dist
+        if best is not None:
+            scored.append((retrieval_score(False, best, int(population[row])), int(ids[row]), row))
 
     scored.sort(key=lambda item: (-item[0], item[1]))
     top = scored[:k]
+    entries = index.entries([row for _, _, row in top])
     return CandidateSet(
         query_text=name,
         normalized_query=normalized,
-        candidates=[(index.entry_store[gid], score) for score, gid in top],
+        candidates=[(entry, score) for entry, (score, _, _) in zip(entries, top)],
     )
 
 
-def _min_variant_distance(query_text: str, names: list[str], bound: int) -> int | None:
-    """Smallest edit distance from the query to any name, or None if every
-    name exceeds the bound."""
-    best: int | None = None
-    for name in names:
-        if abs(len(name) - len(query_text)) > bound:
-            continue
-        dist = bounded_edit_distance(query_text, name, bound)
-        if dist is None:
-            continue
-        if best is None or dist < best:
-            best = dist
-            if best == 0:
-                break
-    return best
-
-
 def save_index(index: GazetteerIndex, path: str) -> None:
-    """Write the index to a single versioned file (magic, version, then a
-    zlib-compressed JSON payload of the entries and build config)."""
-    payload = {
-        "config": {
-            "ngram_size": index.config.ngram_size,
-            "max_candidates": index.config.max_candidates,
-            "max_edit_distance": index.config.max_edit_distance,
-            "fuzzy_min_shared_ngrams": index.config.fuzzy_min_shared_ngrams,
-        },
-        "entries": [_entry_to_row(e) for e in index.entry_store.values()],
-    }
-    blob = zlib.compress(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8"))
+    """Write the index to one versioned, byte-deterministic file.
+
+    Layout: magic, then little-endian u32 format version, header length and
+    zlib.crc32 of everything after the crc; a JSON header (the build config,
+    and each array's dtype, byte offset from the end of the header and
+    length), padded with spaces to 8 bytes; then the arrays in ``_ARRAYS``
+    order, each zero-padded to 8 bytes.
+    """
+    chunks = []
+    specs = {}
+    offset = 0
+    for name, dtype in _ARRAYS.items():
+        data = np.ascontiguousarray(index.arrays[name], dtype=dtype).tobytes()
+        specs[name] = {"dtype": dtype, "offset": offset, "length": len(data) // np.dtype(dtype).itemsize}
+        data += bytes(-len(data) % 8)
+        chunks.append(data)
+        offset += len(data)
+    header = json.dumps({"config": dataclasses.asdict(index.config), "arrays": specs}, sort_keys=True)
+    head = header.encode("utf-8")
+    head += b" " * (-(_PREAMBLE_BYTES + len(head)) % 8)
+    crc = zlib.crc32(head)
+    for data in chunks:
+        crc = zlib.crc32(data, crc)
     with open(path, "wb") as handle:
         handle.write(INDEX_MAGIC)
-        handle.write(struct.pack("<I", INDEX_FORMAT_VERSION))
-        handle.write(blob)
+        handle.write(struct.pack("<III", INDEX_FORMAT_VERSION, len(head), crc))
+        handle.write(head)
+        for data in chunks:
+            handle.write(data)
 
 
 def load_index(path: str) -> GazetteerIndex:
-    """Read an index file written by :func:`save_index`; query results are
-    identical because the file stores the entries and the build is
-    deterministic."""
+    """Read an index file written by :func:`save_index`. The arrays are views
+    of the file's bytes; only the name and n-gram lookups are rebuilt.
+
+    Raises IndexVersionError for another format version (rebuild the index
+    with ``build-index``) and IndexCorruptError for anything that does not
+    check out: checksum, layout, or a column the validator refuses.
+    """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise IndexFileError(f"cannot read index file {path!r}: {exc}") from exc
-    header_len = len(INDEX_MAGIC) + 4
-    if len(data) < header_len:
+    if len(data) < len(INDEX_MAGIC) + 4:
         raise IndexCorruptError(f"index file {path!r} is truncated")
     if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
         raise IndexCorruptError(f"{path!r} is not a gazetteer index file")
@@ -252,46 +528,39 @@ def load_index(path: str) -> GazetteerIndex:
     if version != INDEX_FORMAT_VERSION:
         raise IndexVersionError(
             f"index file {path!r} has format version {version}, "
-            f"this build reads version {INDEX_FORMAT_VERSION}"
+            f"this build reads version {INDEX_FORMAT_VERSION}; rebuild it with build-index"
         )
+    if len(data) < _PREAMBLE_BYTES:
+        raise IndexCorruptError(f"index file {path!r} is truncated")
+    header_len, crc = struct.unpack_from("<II", data, len(INDEX_MAGIC) + 4)
+    if zlib.crc32(memoryview(data)[_PREAMBLE_BYTES:]) != crc:
+        raise IndexCorruptError(f"index file {path!r} fails its checksum")
     try:
-        payload = json.loads(zlib.decompress(data[header_len:]).decode("utf-8"))
-        config = IndexConfig(**payload["config"])
-        entries = [_entry_from_row(row) for row in payload["entries"]]
-    except (zlib.error, json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError) as exc:
+        header = json.loads(data[_PREAMBLE_BYTES : _PREAMBLE_BYTES + header_len].decode("utf-8"))
+        config = header["config"]
+        if not all(type(value) is int for value in config.values()):
+            raise ValueError("config values must be integers")
+        config = IndexConfig(**config)
+        start = _PREAMBLE_BYTES + header_len
+        if start % 8:
+            raise ValueError("header is not padded to 8 bytes")
+        specs = header["arrays"]
+        if set(specs) != set(_ARRAYS):
+            raise ValueError("array table does not list the expected arrays")
+        arrays = {}
+        end = start
+        for name, dtype in _ARRAYS.items():
+            spec = specs[name]
+            offset, length = spec["offset"], spec["length"]
+            if spec["dtype"] != dtype or type(offset) is not int or type(length) is not int:
+                raise ValueError(f"array {name} is misdescribed")
+            size = length * np.dtype(dtype).itemsize
+            if offset != end - start or length < 0:
+                raise ValueError(f"array {name} is out of place")
+            arrays[name] = np.frombuffer(data, dtype=dtype, count=length, offset=end)
+            end += size + (-size % 8)
+        if end != len(data):
+            raise ValueError(f"payload holds {len(data)} bytes, the arrays {end}")
+        return GazetteerIndex(config, arrays)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise IndexCorruptError(f"index file {path!r} is corrupt: {exc}") from exc
-    return build_index(entries, config)
-
-
-def _entry_to_row(entry: GazetteerEntry) -> list:
-    return [
-        entry.geoname_id,
-        entry.name,
-        entry.ascii_name,
-        list(entry.alternative_names),
-        entry.latitude,
-        entry.longitude,
-        entry.feature_class,
-        entry.feature_code,
-        entry.country_code,
-        entry.admin1_code,
-        entry.admin2_code,
-        entry.population,
-    ]
-
-
-def _entry_from_row(row: list) -> GazetteerEntry:
-    return GazetteerEntry(
-        geoname_id=row[0],
-        name=row[1],
-        ascii_name=row[2],
-        alternative_names=tuple(row[3]),
-        latitude=row[4],
-        longitude=row[5],
-        feature_class=row[6],
-        feature_code=row[7],
-        country_code=row[8],
-        admin1_code=row[9],
-        admin2_code=row[10],
-        population=row[11],
-    )

@@ -152,7 +152,7 @@ def dictionary_extract(text: str, index: GazetteerIndex, min_token_len: int = 2)
         for j in range(run_end - 1, i - 1, -1):
             start, end = tokens[i].start(), tokens[j].end()
             surface = text[start:end]
-            if len(surface) >= min_token_len and normalize_name(surface) in index.exact_index:
+            if len(surface) >= min_token_len and index.exact_rows(normalize_name(surface)):
                 spans.append(Span(start=start, end=end, surface=surface))
                 i = j + 1
                 matched = True

@@ -80,7 +80,7 @@ def build_toy_gazetteer(
         )
         add_row(
             name=_fresh_name(rng, used_names),
-            lat=float(np.clip(center_lat + rng.uniform(-1.5, 1.5), -85, 85)),
+            lat=min(max(center_lat + rng.uniform(-1.5, 1.5), -85.0), 85.0),
             lon=center_lon + rng.uniform(-1.5, 1.5),
             fclass="P",
             fcode="PPLC",
@@ -92,7 +92,7 @@ def build_toy_gazetteer(
             code = f"{j + 1:02d}"
             add_row(
                 name=_fresh_name(rng, used_names, _ADM1_SUFFIXES[j % len(_ADM1_SUFFIXES)]),
-                lat=float(np.clip(center_lat + rng.uniform(-5, 5), -85, 85)),
+                lat=min(max(center_lat + rng.uniform(-5, 5), -85.0), 85.0),
                 lon=center_lon + rng.uniform(-5, 5),
                 fclass="A",
                 fcode="ADM1",
@@ -103,7 +103,7 @@ def build_toy_gazetteer(
             for _ in range(cities_per_adm1):
                 add_row(
                     name=_fresh_name(rng, used_names),
-                    lat=float(np.clip(center_lat + rng.uniform(-7, 7), -85, 85)),
+                    lat=min(max(center_lat + rng.uniform(-7, 7), -85.0), 85.0),
                     lon=center_lon + rng.uniform(-7, 7),
                     fclass="P",
                     fcode="PPL",
@@ -113,7 +113,7 @@ def build_toy_gazetteer(
                 )
         add_row(
             name="Lake " + _fresh_name(rng, used_names),
-            lat=float(np.clip(center_lat + rng.uniform(-7, 7), -85, 85)),
+            lat=min(max(center_lat + rng.uniform(-7, 7), -85.0), 85.0),
             lon=center_lon + rng.uniform(-7, 7),
             fclass="H",
             fcode="LK",
@@ -123,7 +123,7 @@ def build_toy_gazetteer(
         )
         add_row(
             name=_fresh_name(rng, used_names) + " Hills",
-            lat=float(np.clip(center_lat + rng.uniform(-7, 7), -85, 85)),
+            lat=min(max(center_lat + rng.uniform(-7, 7), -85.0), 85.0),
             lon=center_lon + rng.uniform(-7, 7),
             fclass="T",
             fcode="HLLS",

@@ -40,6 +40,11 @@ def make_entry(
     )
 
 
+def entry_store(index) -> dict[int, GazetteerEntry]:
+    """geoname id -> entry of an index."""
+    return {entry.geoname_id: entry for entry in index.entries()}
+
+
 @pytest.fixture(scope="session")
 def mini_entries() -> list[GazetteerEntry]:
     """France/US fixture with the two-Paris ambiguity, admin hierarchy, and a

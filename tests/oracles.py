@@ -1,16 +1,23 @@
 """Independent reference implementations used only to check the package.
 
 Deliberately written differently from the library code: the edit distance is
-a full-matrix DP, the trigram extraction is a one-liner, the candidate scan is
-an exhaustive loop over every entry, and the ranker runs one example at a time
-where the library packs a window of examples into one pass.
+a full-matrix DP or a banded DP where the library runs a bit-parallel kernel,
+the trigram extraction is a one-liner, the candidate scan is an exhaustive
+loop over every entry, the dict index keeps Python dicts of id lists where the
+library keeps CSR arrays, and the ranker runs one example at a time where the
+library packs a window of examples into one pass.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from placelink.gazetteer import GazetteerEntry, normalize_name
+from placelink.index import CandidateSet, IndexConfig, char_ngrams, retrieval_score
 from placelink.ranker import (
     _PARAM_ORDER,
     _POP_LOG_SCALE,
@@ -40,6 +47,111 @@ def dp_edit_distance(a: str, b: str) -> int:
     return table[-1][-1]
 
 
+def banded_edit_distance(a: str, b: str, bound: int) -> int | None:
+    """Levenshtein distance if it is <= bound, else None.
+
+    Only cells within `bound` of the diagonal can matter, so each row is
+    restricted to that band and the scan bails out once the whole band
+    exceeds the bound.
+    """
+    if abs(len(a) - len(b)) > bound:
+        return None
+    if a == b:
+        return 0
+    if bound == 0:
+        return None
+    if len(a) < len(b):
+        a, b = b, a
+    la, lb = len(a), len(b)
+    inf = bound + 1
+    previous = list(range(lb + 1))
+    for i in range(1, la + 1):
+        lo = max(1, i - bound)
+        hi = min(lb, i + bound)
+        current = [inf] * (lb + 1)
+        if lo == 1:
+            current[0] = i
+        ca = a[i - 1]
+        row_min = current[0] if lo == 1 else inf
+        for j in range(lo, hi + 1):
+            cost = 0 if ca == b[j - 1] else 1
+            value = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
+            current[j] = value
+            if value < row_min:
+                row_min = value
+        if row_min > bound:
+            return None
+        previous = current
+    return previous[lb] if previous[lb] <= bound else None
+
+
+@dataclass
+class DictIndex:
+    """The dict-of-lists index the columnar one replaced: ids per exact name
+    and per trigram, entries and name variants per id."""
+
+    config: IndexConfig
+    entry_store: dict[int, GazetteerEntry] = field(default_factory=dict)
+    exact_index: dict[str, list[int]] = field(default_factory=dict)
+    ngram_index: dict[str, list[int]] = field(default_factory=dict)
+    variants: dict[int, list[str]] = field(default_factory=dict)
+
+
+def build_dict_index(entries: list[GazetteerEntry], config: IndexConfig | None = None) -> DictIndex:
+    config = config or IndexConfig()
+    index = DictIndex(config=config)
+    exact: dict[str, set[int]] = {}
+    grams: dict[str, set[int]] = {}
+    for entry in entries:
+        gid = entry.geoname_id
+        index.entry_store[gid] = entry
+        names = entry.name_variants()
+        index.variants[gid] = names
+        entry_grams: set[str] = set()
+        for name in names:
+            exact.setdefault(name, set()).add(gid)
+            entry_grams.update(char_ngrams(name, config.ngram_size))
+        for gram in entry_grams:
+            grams.setdefault(gram, set()).add(gid)
+    index.exact_index = {name: sorted(ids) for name, ids in exact.items()}
+    index.ngram_index = {gram: sorted(ids) for gram, ids in grams.items()}
+    return index
+
+
+def dict_query(index: DictIndex, name: str, k: int | None = None) -> CandidateSet:
+    """Retrieval over the dict index: a Counter of shared trigrams per id,
+    then banded-DP verification of every survivor's variants."""
+    config = index.config
+    k = config.max_candidates if k is None else k
+    normalized = normalize_name(name)
+    if not normalized:
+        return CandidateSet(query_text=name, normalized_query=normalized, candidates=[])
+    exact_ids = set(index.exact_index.get(normalized, ()))
+    shared: Counter[int] = Counter()
+    for gram in set(char_ngrams(normalized, config.ngram_size)):
+        for gid in index.ngram_index.get(gram, ()):
+            shared[gid] += 1
+    scored = [(retrieval_score(True, 0, index.entry_store[gid].population), gid) for gid in exact_ids]
+    bound = config.max_edit_distance
+    for gid, count in shared.items():
+        if gid in exact_ids or count < config.fuzzy_min_shared_ngrams:
+            continue
+        distances = [
+            d
+            for v in index.variants[gid]
+            if (d := banded_edit_distance(normalized, v, bound)) is not None
+        ]
+        if distances:
+            population = index.entry_store[gid].population
+            scored.append((retrieval_score(False, min(distances), population), gid))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return CandidateSet(
+        query_text=name,
+        normalized_query=normalized,
+        candidates=[(index.entry_store[gid], score) for score, gid in scored[:k]],
+    )
+
+
 def trigrams(text: str, n: int = 3) -> list[str]:
     return [text[i : i + n] for i in range(len(text) - n + 1)]
 
@@ -58,8 +170,6 @@ def scan_candidates(
     query trigrams with the variant trigram set and some variant is within the
     edit-distance bound. Scored (exact, -distance, log10(pop+1)) packed into
     one scalar, ordered by descending score then ascending id."""
-    import math
-
     query = normalize_name(raw_query)
     if not query:
         return []
@@ -106,8 +216,6 @@ def _fold(text: str) -> str:
 
 def reference_haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """atan2 formulation (the library uses asin) on the same sphere."""
-    import math
-
     r = 6371.0088
     p1, p2 = math.radians(lat1), math.radians(lat2)
     dp = p2 - p1

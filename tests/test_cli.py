@@ -106,7 +106,7 @@ class TestBuildIndex:
         out = str(tmp_path / "ponly.idx")
         assert main(["build-index", "--gazetteer", ws["gaz"], "--out", out, "--classes", "P"]) == 0
         index = load_index(out)
-        classes = {e.feature_class for e in index.entry_store.values()}
+        classes = {e.feature_class for e in index.entries()}
         assert classes == {"P"}
         assert 0 < len(index) < 11
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_entry
-from oracles import dp_edit_distance
+from conftest import entry_store, make_entry
+from oracles import banded_edit_distance, dp_edit_distance
 from placelink.features import (
     CandidateFeatures,
     ContextVectors,
@@ -72,6 +72,58 @@ class TestBoundedEditDistance:
         assert bounded_edit_distance("same", "sane", 0) is None
 
 
+_ALPHABET = "abcdeéèüß -"
+
+
+@st.composite
+def _near_pairs(draw):
+    """A string (short, or beyond one 64-bit word) and a copy of it with up to
+    four random edits, or an unrelated string."""
+    a = draw(st.one_of(st.text(_ALPHABET, max_size=8), st.text(_ALPHABET, min_size=60, max_size=100)))
+    if draw(st.booleans()):
+        return a, draw(st.text(_ALPHABET, max_size=len(a) + 3))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("sub", "ins", "del")))
+        pos = draw(st.integers(0, len(b)))
+        ch = draw(st.sampled_from(_ALPHABET))
+        if op == "ins":
+            b.insert(pos, ch)
+        elif b:
+            pos = min(pos, len(b) - 1)
+            if op == "sub":
+                b[pos] = ch
+            else:
+                del b[pos]
+    return a, "".join(b)
+
+
+class TestBitParallelKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_near_pairs(), bound=st.integers(min_value=0, max_value=3))
+    def test_both_functions_match_full_matrix_oracle(self, pair, bound):
+        for a, b in (pair, pair[::-1]):
+            true = dp_edit_distance(a, b)
+            assert edit_distance(a, b) == true
+            want = true if true <= bound else None
+            assert bounded_edit_distance(a, b, bound) == want
+            assert banded_edit_distance(a, b, bound) == want
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
+    def test_empty_strings(self, bound):
+        assert bounded_edit_distance("", "", bound) == 0
+        assert bounded_edit_distance("", "abc", bound) == (3 if bound >= 3 else None)
+        assert bounded_edit_distance("ab", "", bound) == (2 if bound >= 2 else None)
+        assert edit_distance("", "ßé") == 2
+
+    def test_across_the_word_boundary(self):
+        a = "é" * 64 + "paris"
+        assert edit_distance(a, a[:-1]) == 1
+        assert bounded_edit_distance(a, "e" + a[1:], 1) == 1
+        assert bounded_edit_distance(a, "ee" + a[2:] + "x", 2) is None
+        assert edit_distance(a, "") == 69
+
+
 class TestStringFeatures:
     def test_exact_single_name(self):
         entry = make_entry(1, "Paris")
@@ -110,7 +162,7 @@ class TestStringFeatures:
 
 class TestCoherenceFeatures:
     def test_adm1_parent_detected(self, mini_index, mini_tables):
-        austin = mini_index.entry_store[7]
+        austin = entry_store(mini_index)[7]
         others = [query(mini_index, "Texas")]
         is_adm1, has_parent, shared = coherence_features(austin, others, mini_tables)
         assert has_parent == 1
@@ -118,24 +170,24 @@ class TestCoherenceFeatures:
         assert shared == 1.0  # the Texas set has US candidates
 
     def test_adm1_of_other_detected(self, mini_index, mini_tables):
-        texas = mini_index.entry_store[5]
+        texas = entry_store(mini_index)[5]
         others = [query(mini_index, "Austin")]
         is_adm1, has_parent, _ = coherence_features(texas, others, mini_tables)
         assert is_adm1 == 1
 
     def test_containment_is_proper(self, mini_index, mini_tables):
         # the other toponym's only (US, TX) candidate is the ADM1 entry itself
-        texas = mini_index.entry_store[5]
+        texas = entry_store(mini_index)[5]
         others = [query(mini_index, "Texas")]
         is_adm1, _, _ = coherence_features(texas, others, mini_tables)
         assert is_adm1 == 0
 
     def test_single_toponym_document(self, mini_index, mini_tables):
-        paris = mini_index.entry_store[2]
+        paris = entry_store(mini_index)[2]
         assert coherence_features(paris, [], mini_tables) == (0, 0, 0.0)
 
     def test_shared_country_fraction_counting(self, mini_index, mini_tables):
-        washington = mini_index.entry_store[8]
+        washington = entry_store(mini_index)[8]
         others = [
             query(mini_index, "Austin"),      # US candidates
             query(mini_index, "Springfield"), # US candidates
@@ -147,7 +199,7 @@ class TestCoherenceFeatures:
     @settings(max_examples=30)
     @given(st.permutations(["Austin", "Springfield", "France", "Paris"]))
     def test_invariant_to_other_set_order(self, mini_index, mini_tables, order):
-        washington = mini_index.entry_store[8]
+        washington = entry_store(mini_index)[8]
         others = [query(mini_index, name) for name in order]
         baseline = [query(mini_index, name) for name in sorted(order)]
         assert coherence_features(washington, others, mini_tables) == coherence_features(
@@ -155,7 +207,7 @@ class TestCoherenceFeatures:
         )
 
     def test_ignores_gold_labels(self, mini_index, mini_tables):
-        austin = mini_index.entry_store[7]
+        austin = entry_store(mini_index)[7]
         plain = query(mini_index, "Texas")
         labeled = query(mini_index, "Texas")
         labeled.gold_id = 5
@@ -166,7 +218,7 @@ class TestCoherenceFeatures:
 
 class TestCandidateFeaturesAssembly:
     def test_field_arithmetic(self, mini_index, mini_tables):
-        paris_fr = mini_index.entry_store[2]
+        paris_fr = entry_store(mini_index)[2]
         summaries = [summarize_candidates(query(mini_index, "France"))]
         feats = candidate_features("paris", paris_fr, summaries, mini_tables)
         assert isinstance(feats, CandidateFeatures)
@@ -179,7 +231,7 @@ class TestCandidateFeaturesAssembly:
 
     def test_fractions_and_flags_in_range(self, mini_index, mini_tables):
         summaries = [summarize_candidates(query(mini_index, "Texas"))]
-        for entry in mini_index.entry_store.values():
+        for entry in mini_index.entries():
             feats = candidate_features("paris", entry, summaries, mini_tables)
             assert 0.0 <= feats.min_edit_distance <= 1.0
             assert 0.0 <= feats.avg_edit_distance <= 1.0

@@ -8,19 +8,25 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
+import zlib
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_entry
-from oracles import scan_candidates
+from conftest import entry_store, make_entry
+from oracles import build_dict_index, dict_query, scan_candidates
 from placelink.gazetteer import normalize_name
 from placelink.index import (
     INDEX_MAGIC,
     CandidateSet,
     IndexConfig,
     IndexCorruptError,
+    IndexFileError,
     IndexVersionError,
     build_index,
     char_ngrams,
@@ -29,6 +35,21 @@ from placelink.index import (
     retrieval_score,
     save_index,
 )
+
+
+def exact_index(index) -> dict[str, list[int]]:
+    """Name variant -> sorted geoname ids, read through the exact lookup."""
+    ids = index.arrays["geoname_id"]
+    return {name: sorted(int(ids[row]) for row in index.exact_rows(name)) for name in index.variants}
+
+
+def ngram_index(index) -> dict[str, list[int]]:
+    """N-gram -> sorted geoname ids, read from the CSR postings."""
+    ids, postings, offsets = (index.arrays[k] for k in ("geoname_id", "postings", "posting_offsets"))
+    return {
+        gram: sorted(int(ids[row]) for row in postings[offsets[slot] : offsets[slot + 1]])
+        for slot, gram in enumerate(index.grams)
+    }
 
 
 class TestCharNgrams:
@@ -68,32 +89,32 @@ class TestBuildIndex:
     def test_exact_index_covers_all_variants(self):
         entry = make_entry(9, "Berlin", alternates=("Berlín",))
         index = build_index([entry])
-        assert index.exact_index["berlin"] == [9]
-        assert index.exact_index["berlín"] == [9]
+        assert exact_index(index)["berlin"] == [9]
+        assert exact_index(index)["berlín"] == [9]
 
     def test_homonyms_share_a_key(self, mini_index):
-        assert mini_index.exact_index["paris"] == [2, 6]
+        assert exact_index(mini_index)["paris"] == [2, 6]
 
     def test_alternate_names_indexed(self, mini_index):
-        assert mini_index.exact_index["usa"] == [4]
-        assert mini_index.exact_index["lutetia"] == [2]
+        assert exact_index(mini_index)["usa"] == [4]
+        assert exact_index(mini_index)["lutetia"] == [2]
 
     def test_trigram_postings(self):
         index = build_index([make_entry(5, "Paris")])
         for gram in ("par", "ari", "ris"):
-            assert index.ngram_index[gram] == [5]
+            assert ngram_index(index)[gram] == [5]
 
     def test_postings_reference_stored_entries(self, mini_index):
-        for ids in mini_index.ngram_index.values():
+        for ids in ngram_index(mini_index).values():
             for gid in ids:
-                assert gid in mini_index.entry_store
-        for ids in mini_index.exact_index.values():
+                assert gid in entry_store(mini_index)
+        for ids in exact_index(mini_index).values():
             for gid in ids:
-                assert gid in mini_index.entry_store
+                assert gid in entry_store(mini_index)
 
     def test_len_and_name_count(self, mini_index, mini_entries):
         assert len(mini_index) == len(mini_entries)
-        assert mini_index.name_count == len(mini_index.exact_index)
+        assert mini_index.name_count == len(exact_index(mini_index))
 
 
 class TestQuery:
@@ -272,3 +293,253 @@ class TestIndexFile:
         path.write_bytes(data[: len(INDEX_MAGIC) + 4 + 5])
         with pytest.raises(IndexCorruptError):
             load_index(str(path))
+
+
+class TestDuplicateIds:
+    def test_build_rejects_a_duplicate_id(self):
+        with pytest.raises(ValueError, match="duplicate geoname id 1"):
+            build_index([make_entry(1, "Paris"), make_entry(1, "Berlin")])
+
+    def test_load_rejects_a_duplicate_id(self, tmp_path, mini_index):
+        ids = mini_index.arrays["geoname_id"].copy()
+        ids[1] = ids[0]
+        with pytest.raises(IndexCorruptError, match="duplicate geoname id"):
+            load_index(_tampered(tmp_path, mini_index, geoname_id=ids))
+
+
+def _tampered(tmp_path, index, **arrays) -> str:
+    """Save an index with some arrays replaced. The constructor's validator is
+    bypassed and the checksum is right, so only the loader's validator can
+    refuse the file."""
+    path = str(tmp_path / "tampered.idx")
+    save_index(SimpleNamespace(config=index.config, arrays={**index.arrays, **arrays}), path)
+    return path
+
+
+def _set(name, pos, value):
+    def change(arrays):
+        column = arrays[name].copy()
+        column[pos] = value
+        return {name: column}
+
+    return change
+
+
+def _swap(name):
+    def change(arrays):
+        column = arrays[name].copy()
+        column[[1, 2]] = column[[2, 1]]
+        return {name: column}
+
+    return change
+
+
+def _reverse_a_posting_list(arrays):
+    offsets, postings = arrays["posting_offsets"], arrays["postings"].copy()
+    slot = int(np.flatnonzero(np.diff(offsets) >= 2)[0])
+    postings[offsets[slot] : offsets[slot + 1]] = postings[offsets[slot] : offsets[slot + 1]][::-1]
+    return {"postings": postings}
+
+
+class TestLoaderValidator:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param(lambda a: {"latitude": a["latitude"][:-1]}, id="column-lengths-disagree"),
+            pytest.param(lambda a: {"entry_variants": a["entry_variants"][:-1]}, id="entry-offsets-short"),
+            pytest.param(lambda a: {"gram_offsets": a["gram_offsets"][:-1]}, id="gram-tables-disagree"),
+            pytest.param(_swap("variant_offsets"), id="variant-offsets-non-monotone"),
+            pytest.param(_swap("posting_offsets"), id="posting-offsets-non-monotone"),
+            pytest.param(_swap("entry_names"), id="entry-names-non-monotone"),
+            pytest.param(_set("posting_offsets", -1, 10**6), id="posting-offsets-past-the-end"),
+            pytest.param(lambda a: {"postings": a["postings"] + len(a["geoname_id"])}, id="posting-row-out-of-range"),
+            pytest.param(_set("postings", 0, -1), id="posting-row-negative"),
+            pytest.param(_reverse_a_posting_list, id="posting-list-unsorted"),
+            pytest.param(_set("latitude", 0, 90.5), id="latitude-above-90"),
+            pytest.param(_set("longitude", 0, -180.5), id="longitude-below-180"),
+            pytest.param(_set("latitude", 3, np.nan), id="latitude-nan"),
+            pytest.param(_set("longitude", 3, np.inf), id="longitude-infinite"),
+            pytest.param(_set("population", 0, -1), id="population-negative"),
+            pytest.param(_set("country_code", 0, 10**6), id="code-outside-table"),
+            pytest.param(_set("variant_text", 0, 0xFF), id="variant-text-not-utf8"),
+            pytest.param(lambda a: {"geoname_id": a["geoname_id"][:0]}, id="no-entries"),
+        ],
+    )
+    def test_refuses(self, tmp_path, mini_index, change):
+        path = _tampered(tmp_path, mini_index, **change(mini_index.arrays))
+        with pytest.raises(IndexCorruptError):
+            load_index(path)
+
+    def test_ngram_size_below_two(self, tmp_path, mini_index):
+        path = tmp_path / "gaz.idx"
+        save_index(mini_index, str(path))
+        data = bytearray(path.read_bytes())
+        at = data.index(b'"ngram_size": 3')
+        data[at : at + 15] = b'"ngram_size": 1'
+        struct.pack_into("<I", data, len(INDEX_MAGIC) + 8, zlib.crc32(data[len(INDEX_MAGIC) + 12 :]))
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexCorruptError, match="ngram_size"):
+            load_index(str(path))
+
+    def test_checksum_catches_a_flipped_payload_byte(self, tmp_path, mini_index):
+        path = tmp_path / "gaz.idx"
+        save_index(mini_index, str(path))
+        data = bytearray(path.read_bytes())
+        data[-20] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexCorruptError, match="checksum"):
+            load_index(str(path))
+
+    def test_version_one_file_is_refused(self, tmp_path):
+        path = tmp_path / "v1.idx"
+        payload = zlib.compress(b'{"config": {}, "entries": []}')
+        path.write_bytes(INDEX_MAGIC + struct.pack("<I", 1) + payload)
+        with pytest.raises(IndexVersionError, match="build-index"):
+            load_index(str(path))
+
+    def test_concurrent_queries_equal_sequential_ones(self, tmp_path, mini_index):
+        # entries are materialised lazily into a shared cache; threads that
+        # race on one row must still all see equal entries
+        path = str(tmp_path / "gaz.idx")
+        save_index(mini_index, path)
+        names = ["Paris", "Pariss", "usa", "Texas", "Austin", "Springfeld", "Washingtin", "Parisot"] * 25
+        want = {name: query(load_index(path), name).candidates for name in set(names)}
+        loaded = load_index(path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda name: query(loaded, name).candidates, names, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want[name] for name in names]
+
+    def test_loaded_arrays_are_read_only_views(self, tmp_path, mini_index):
+        path = str(tmp_path / "gaz.idx")
+        save_index(mini_index, path)
+        loaded = load_index(path)
+        assert not loaded.arrays["postings"].flags.writeable
+
+
+def _same_index(a, b) -> bool:
+    return a.config == b.config and all(np.array_equal(a.arrays[k], b.arrays[k], equal_nan=True) for k in a.arrays)
+
+
+def _damage(data, blob: bytes) -> bytes:
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    damaged = bytearray(blob)
+    positions = data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4, unique=True))
+    for pos in positions:
+        damaged[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    return bytes(damaged)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flipped_or_truncated_file_loads_equal_or_raises(tmp_path_factory, mini_index, data):
+    path = tmp_path_factory.mktemp("flip") / "gaz.idx"
+    save_index(mini_index, str(path))
+    path.write_bytes(_damage(data, path.read_bytes()))
+    try:
+        loaded = load_index(str(path))
+    except IndexFileError:
+        return
+    assert _same_index(loaded, mini_index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damage_behind_a_valid_checksum_raises_only_index_errors(tmp_path_factory, mini_index, data):
+    """With the checksum recomputed, damage reaches the layout parser and the
+    validator: the file loads to an index whose entries all materialise, or
+    raises an IndexFileError subclass, never a bare exception."""
+    path = tmp_path_factory.mktemp("flip") / "gaz.idx"
+    save_index(mini_index, str(path))
+    blob = path.read_bytes()
+    start = len(INDEX_MAGIC) + 12
+    damaged = bytearray(blob[:start] + _damage(data, blob[start:]))
+    struct.pack_into("<I", damaged, len(INDEX_MAGIC) + 8, zlib.crc32(damaged[start:]))
+    path.write_bytes(bytes(damaged))
+    try:
+        loaded = load_index(str(path))
+    except IndexFileError:
+        return
+    loaded.entries()
+    query(loaded, "Paris")
+
+
+_LETTERS = "abeilnorsu"
+_ACCENTS = str.maketrans("aeiou", "áéíöü")
+
+
+@st.composite
+def _gazetteers(draw):
+    """Small worlds with homonyms (names drawn from a small pool), 3- and
+    4-letter names, alternative names and diacritics."""
+    pool = draw(st.lists(st.text(_LETTERS, min_size=3, max_size=8), min_size=1, max_size=6, unique=True))
+    pool += [name.translate(_ACCENTS) for name in pool]
+    n = draw(st.integers(1, 20))
+    ids = draw(st.lists(st.integers(1, 10**7), min_size=n, max_size=n, unique=True))
+    return [
+        make_entry(
+            gid,
+            draw(st.sampled_from(pool)).capitalize(),
+            alternates=tuple(draw(st.lists(st.sampled_from(pool), max_size=2))),
+            population=draw(st.sampled_from([0, 0, 7, 1_000, 250_000])),
+            lat=draw(st.floats(-90, 90)),
+            lon=draw(st.floats(-180, 180)),
+            cc=draw(st.sampled_from(["FR", "US", ""])),
+        )
+        for gid in ids
+    ]
+
+
+@st.composite
+def _queries(draw, entries):
+    name = draw(st.sampled_from(entries)).name
+    pos = draw(st.integers(0, len(name)))
+    letter = draw(st.sampled_from(_LETTERS + "xé"))
+    return draw(
+        st.sampled_from(
+            [
+                name,
+                f"  {name.upper()} ",
+                name[:pos] + letter + name[pos + 1 :],
+                name[:pos] + letter + name[pos:],
+                name[:pos] + name[pos + 1 :],
+                "",
+                " \t ",
+            ]
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_query_equals_dict_index_oracle(tmp_path_factory, data):
+    entries = data.draw(_gazetteers(), label="entries")
+    config = IndexConfig(
+        ngram_size=data.draw(st.integers(2, 4), label="ngram_size"),
+        fuzzy_min_shared_ngrams=data.draw(st.integers(1, 3), label="min_shared"),
+        max_edit_distance=data.draw(st.integers(0, 3), label="max_edit_distance"),
+    )
+    index = build_index(entries, config)
+    oracle = build_dict_index(entries, config)
+    folder = tmp_path_factory.mktemp("oracle")
+    save_index(index, str(folder / "a.idx"))
+    save_index(index, str(folder / "b.idx"))
+    assert (folder / "a.idx").read_bytes() == (folder / "b.idx").read_bytes()
+    loaded = load_index(str(folder / "a.idx"))
+    save_index(loaded, str(folder / "c.idx"))
+    assert (folder / "c.idx").read_bytes() == (folder / "a.idx").read_bytes()
+    for _ in range(5):
+        text = data.draw(_queries(entries), label="query")
+        k = data.draw(st.integers(1, 60), label="k")
+        want = dict_query(oracle, text, k)
+        for got in (query(index, text, k), query(loaded, text, k)):
+            assert got.normalized_query == want.normalized_query
+            assert [(e.geoname_id, s) for e, s in got.candidates] == [
+                (e.geoname_id, s) for e, s in want.candidates
+            ]
+            assert got.entries() == want.entries()
