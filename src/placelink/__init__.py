@@ -6,6 +6,7 @@ with an abstention slot, synthetic corpus generation, an evaluation suite,
 and a command-line pipeline tying them together.
 """
 
+from placelink.corpus import Annotation, CorpusDocument
 from placelink.evaluation import MetricsReport, evaluate, haversine_km, query_recall
 from placelink.features import (
     CandidateFeatures,
@@ -31,9 +32,7 @@ from placelink.index import (
     save_index,
 )
 from placelink.pipeline import (
-    Document,
     ResolutionRecord,
-    Span,
     dictionary_extract,
     locate_event,
     resolve_corpus,
@@ -55,10 +54,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdminTables",
+    "Annotation",
     "CandidateFeatures",
     "CandidateSet",
     "ContextVectors",
-    "Document",
+    "CorpusDocument",
     "EmbeddingProvider",
     "GazetteerEntry",
     "GazetteerIndex",
@@ -68,7 +68,6 @@ __all__ = [
     "RankerModel",
     "RankingExample",
     "ResolutionRecord",
-    "Span",
     "Template",
     "augment_impossible",
     "build_admin_tables",

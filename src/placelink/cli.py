@@ -11,22 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
-from placelink.corpus import Annotation, CorpusDocument, load_corpus, save_corpus
+from placelink.corpus import load_corpus, save_corpus
 from placelink.evaluation import evaluate, format_report, query_recall
 from placelink.features import hashed_bow_provider
 from placelink.gazetteer import build_admin_tables, load_gazetteer
 from placelink.index import IndexConfig, build_index, load_index, query, save_index
-from placelink.pipeline import (
-    Document,
-    Span,
-    dictionary_extract,
-    locate_event,
-    record_from_dict,
-    record_to_dict,
-    resolve_corpus,
-)
+from placelink.pipeline import dictionary_extract, load_records, locate_event, resolve_corpus
 from placelink.ranker import (
     RankerConfig,
     RankerModel,
@@ -64,7 +56,6 @@ class RunConfig:
     score_mode: str = "sigmoid"
     use_population_feature: bool = True
     eval_k: str = "50,500"
-    jobs: int = 1
     extract: bool = False
     locate_events: bool = False
 
@@ -250,23 +241,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
     docs = load_corpus(corpus_path)
     if cfg.extract:
         docs = [
-            doc
-            if doc.annotations
-            else CorpusDocument(
-                doc_id=doc.doc_id,
-                text=doc.text,
-                annotations=[
-                    Annotation(start=s.start, end=s.end, surface=s.surface)
-                    for s in dictionary_extract(doc.text, index)
-                ],
-                event_trigger=doc.event_trigger,
-            )
+            doc if doc.annotations else replace(doc, annotations=dictionary_extract(doc.text, index))
             for doc in docs
         ]
-    records = resolve_corpus(docs, index, model, provider, tables, cfg.k, jobs=cfg.jobs)
+    records = resolve_corpus(docs, index, model, provider, tables, cfg.k)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
-            fh.write(json.dumps(record_to_dict(record), ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(record), ensure_ascii=False, sort_keys=True) + "\n")
     abstained = sum(1 for r in records if r.abstained)
     print(f"resolved {len(records)} spans ({abstained} abstentions) -> {out_path}")
     if cfg.locate_events:
@@ -274,13 +255,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         for record in records:
             by_doc.setdefault(record.doc_id, []).append(record)
         for doc in docs:
-            document = Document(
-                doc_id=doc.doc_id,
-                text=doc.text,
-                toponym_spans=[Span(a.start, a.end, a.surface) for a in doc.annotations],
-                event_trigger_span=doc.event_trigger,
-            )
-            outcome = locate_event(document, by_doc.get(doc.doc_id, []))
+            outcome = locate_event(doc, by_doc.get(doc.doc_id, []))
             if outcome.record is not None:
                 where = f"{outcome.record.query_text} ({outcome.record.predicted_geoname_id})"
             else:
@@ -291,39 +266,27 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
-    if cfg.records_path:
-        with open(cfg.records_path, "r", encoding="utf-8") as fh:
-            records = [record_from_dict(json.loads(line)) for line in fh if line.strip()]
-    elif cfg.model_path and cfg.corpus_path and cfg.index_path:
-        index = load_index(cfg.index_path)
-        model = load_model(cfg.model_path)
-        tables = build_admin_tables(index.entries())
-        provider = _provider_for_model(model, cfg)
-        docs = load_corpus(cfg.corpus_path)
-        records = resolve_corpus(docs, index, model, provider, tables, cfg.k, jobs=cfg.jobs)
-    else:
-        raise ValueError("need --records, or --model with --index and --corpus")
-    report = evaluate(records)
+    index = docs = None
     if cfg.index_path and cfg.corpus_path:
         index = load_index(cfg.index_path)
         docs = load_corpus(cfg.corpus_path)
+    if cfg.records_path:
+        records = load_records(cfg.records_path)
+    elif cfg.model_path and docs is not None:
+        model = load_model(cfg.model_path)
+        tables = build_admin_tables(index.entries())
+        records = resolve_corpus(docs, index, model, _provider_for_model(model, cfg), tables, cfg.k)
+    else:
+        raise ValueError("need --records, or --model with --index and --corpus")
+    report = evaluate(records)
+    if docs is not None:
         k_values = [int(k) for k in cfg.eval_k.split(",") if k.strip()]
         report.recall_at_k = query_recall(index, docs, k_values)
     print(format_report(report))
     if cfg.out_path:
-        payload = {
-            "n_eval": report.n_eval,
-            "exact_match": report.exact_match,
-            "mean_error_km": report.mean_error_km,
-            "median_error_km": report.median_error_km,
-            "correct_country": report.correct_country,
-            "correct_feature_class": report.correct_feature_class,
-            "correct_adm1": report.correct_adm1,
-            "acc_at_161km": report.acc_at_161km,
-            "abstention_recall": report.abstention_recall,
-            "abstention_false_rate": report.abstention_false_rate,
-            "recall_at_k": {str(k): v for k, v in report.recall_at_k.items()},
-        }
+        payload = asdict(report)
+        # string keys, so sort_keys orders them as text as it always has
+        payload["recall_at_k"] = {str(k): v for k, v in report.recall_at_k.items()}
         with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
     return 0
@@ -397,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", dest="corpus_path")
     p.add_argument("--out", dest="out_path")
     p.add_argument("--k", type=int, dest="k")
-    p.add_argument("--jobs", type=int, dest="jobs")
     p.add_argument(
         "--extract",
         action="store_true",
@@ -421,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", dest="index_path")
     p.add_argument("--model", dest="model_path")
     p.add_argument("--k", type=int, dest="k")
-    p.add_argument("--jobs", type=int, dest="jobs")
     p.add_argument("--eval-k", dest="eval_k", help="comma-separated retrieval depths")
     p.add_argument("--out", dest="out_path", help="also write the report as JSON")
     p.set_defaults(func=cmd_evaluate)

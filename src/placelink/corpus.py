@@ -10,11 +10,11 @@ bookkeeping.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 
-class CorpusFormatError(Exception):
+class CorpusFormatError(ValueError):
     """A corpus line does not conform to the canonical schema."""
 
 
@@ -39,9 +39,16 @@ class CorpusDocument:
     annotations: list[Annotation] = field(default_factory=list)
     event_trigger: tuple[int, int] | None = None
 
+    def __post_init__(self) -> None:
+        _validate_document(self)
 
-def _validate_document(doc: CorpusDocument, where: str) -> None:
-    for ann in doc.annotations:
+
+def _validate_document(doc: CorpusDocument) -> None:
+    """Every span lies inside the text with start < end, matches its text
+    slice and overlaps no other span; the trigger span lies inside the text."""
+    where = f"document {doc.doc_id!r}"
+    last_end = 0
+    for ann in sorted(doc.annotations, key=lambda a: a.start):
         if not 0 <= ann.start < ann.end <= len(doc.text):
             raise CorpusFormatError(
                 f"{where}: span ({ann.start}, {ann.end}) out of bounds for text of "
@@ -52,33 +59,13 @@ def _validate_document(doc: CorpusDocument, where: str) -> None:
                 f"{where}: surface {ann.surface!r} does not match text slice "
                 f"{doc.text[ann.start:ann.end]!r}"
             )
+        if ann.start < last_end:
+            raise CorpusFormatError(f"{where}: span ({ann.start}, {ann.end}) overlaps another")
+        last_end = ann.end
     if doc.event_trigger is not None:
         ts, te = doc.event_trigger
         if not 0 <= ts < te <= len(doc.text):
             raise CorpusFormatError(f"{where}: event trigger ({ts}, {te}) out of bounds")
-
-
-def document_to_dict(doc: CorpusDocument) -> dict:
-    return {
-        "doc_id": doc.doc_id,
-        "text": doc.text,
-        "annotations": [
-            {
-                "start": a.start,
-                "end": a.end,
-                "surface": a.surface,
-                "gold_geoname_id": a.gold_geoname_id,
-                "gold_lat": a.gold_lat,
-                "gold_lon": a.gold_lon,
-                "gold_country": a.gold_country,
-                "gold_admin1": a.gold_admin1,
-                "gold_feature_class": a.gold_feature_class,
-                "exclude_gold": a.exclude_gold,
-            }
-            for a in doc.annotations
-        ],
-        "event_trigger": list(doc.event_trigger) if doc.event_trigger else None,
-    }
 
 
 def document_from_dict(raw: dict, where: str = "corpus") -> CorpusDocument:
@@ -99,21 +86,21 @@ def document_from_dict(raw: dict, where: str = "corpus") -> CorpusDocument:
             for a in raw.get("annotations", [])
         ]
         trigger = raw.get("event_trigger")
-        doc = CorpusDocument(
+        return CorpusDocument(
             doc_id=str(raw["doc_id"]),
             text=str(raw["text"]),
             annotations=annotations,
             event_trigger=None if trigger is None else (int(trigger[0]), int(trigger[1])),
         )
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{where}: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CorpusFormatError(f"{where}: malformed document record: {exc}") from exc
-    _validate_document(doc, where)
-    return doc
 
 
 def dump_corpus(docs: Iterable[CorpusDocument]) -> str:
     lines = [
-        json.dumps(document_to_dict(d), ensure_ascii=False, sort_keys=True) for d in docs
+        json.dumps(asdict(d), ensure_ascii=False, sort_keys=True) for d in docs
     ]
     return "".join(line + "\n" for line in lines)
 

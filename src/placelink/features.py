@@ -149,7 +149,7 @@ class EmbeddingProvider(Protocol):
 class HashedBowProvider:
     """Seeded hashing bag-of-words provider.
 
-    Document vectors hash lowercased word tokens; span vectors additionally
+    A document's vector hashes lowercased word tokens; span vectors additionally
     hash character 4-grams of the mention surface. Vectors are L2-normalized
     counts (the zero vector for empty input).
     """
@@ -281,17 +281,6 @@ def coherence_from_summaries(
         matching = sum(1 for s in other_summaries if candidate.country_code in s.countries)
         shared = matching / len(other_summaries)
     return is_adm1_of_other, has_parent, shared
-
-
-def coherence_features(
-    candidate: GazetteerEntry,
-    other_candidate_sets: Sequence["CandidateSet"],
-    admin_tables: AdminTables,
-) -> tuple[int, int, float]:
-    """Coherence flags from raw candidate sets (excluding the toponym being
-    scored). Order of the other sets does not matter."""
-    summaries = [summarize_candidates(cs) for cs in other_candidate_sets]
-    return coherence_from_summaries(candidate, summaries, admin_tables)
 
 
 def candidate_features(

@@ -105,7 +105,6 @@ class CandidateSet:
     query_text: str
     normalized_query: str
     candidates: list[tuple[GazetteerEntry, float]]
-    gold_id: int | None = None
 
     def entries(self) -> list[GazetteerEntry]:
         return [entry for entry, _ in self.candidates]
@@ -122,7 +121,6 @@ class CandidateSet:
             query_text=self.query_text,
             normalized_query=self.normalized_query,
             candidates=[(e, s) for e, s in self.candidates if e.geoname_id != geoname_id],
-            gold_id=self.gold_id,
         )
 
 

@@ -1,25 +1,25 @@
 """End-to-end document processing.
 
-Four stages: toponym extraction (pluggable; a gazetteer-dictionary matcher is
-built in), candidate retrieval, feature assembly, and ranking. Coherence
-features for a span are computed from the *other* spans' raw candidate sets
-in a single pass, never from their final resolutions and never from gold
-labels. An optional final stage selects the toponym where a reported event
-occurred.
+Four stages: toponym extraction (a gazetteer-dictionary matcher), candidate
+retrieval, feature assembly, and ranking. Training and inference share one
+per-document builder. Coherence features for a span are computed from the
+*other* spans' raw candidate sets in a single pass, never from their final
+resolutions and never from gold labels. An optional final stage selects the
+toponym where a reported event occurred.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from placelink.corpus import CorpusDocument
+from placelink.corpus import Annotation, CorpusDocument
 from placelink.features import (
-    CandidateSummary,
     ContextVectors,
     EmbeddingProvider,
     candidate_features,
@@ -31,6 +31,7 @@ from placelink.ranker import (
     ModelDimensionError,
     RankerModel,
     RankingExample,
+    ScoredCandidateSet,
     score_candidates,
 )
 
@@ -38,30 +39,6 @@ _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 _MAX_MATCH_TOKENS = 6
 
 DEFAULT_WINDOW_CHARS = 10_000
-
-
-@dataclass(frozen=True)
-class Span:
-    start: int
-    end: int
-    surface: str
-
-
-@dataclass
-class Document:
-    doc_id: str
-    text: str
-    toponym_spans: list[Span] = field(default_factory=list)
-    event_trigger_span: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        last_end = -1
-        for span in sorted(self.toponym_spans, key=lambda s: s.start):
-            if not 0 <= span.start < span.end <= len(self.text):
-                raise ValueError(f"span ({span.start}, {span.end}) out of bounds")
-            if span.start < last_end:
-                raise ValueError("toponym spans must not overlap")
-            last_end = span.end
 
 
 @dataclass
@@ -97,45 +74,29 @@ class ResolutionRecord:
         return self.predicted_geoname_id is None
 
 
-class ToponymExtractor(Protocol):
-    def extract(self, text: str) -> list[Span]: ...
-
-
-class EventLocator(Protocol):
-    def select(self, doc: Document, records: Sequence[ResolutionRecord]) -> ResolutionRecord | None: ...
-
-
 @dataclass
 class EventLocationResult:
     """status 'located' carries the chosen record; 'no_location' means no
-    resolvable toponym; 'not_applicable' means the locator had nothing to
-    anchor on (no trigger span for the proximity baseline)."""
+    resolvable toponym; 'not_applicable' means the document has no trigger
+    span to anchor on."""
 
     status: str
     record: ResolutionRecord | None = None
 
 
-class TriggerProximityLocator:
-    """Baseline event locator: the resolved toponym whose span midpoint is
-    nearest the trigger midpoint, ties to the earlier span."""
-
-    def select(self, doc: Document, records: Sequence[ResolutionRecord]) -> ResolutionRecord | None:
-        if doc.event_trigger_span is None:
-            return None
-        trig_mid = sum(doc.event_trigger_span) / 2.0
-        resolved = [r for r in records if not r.abstained]
-        if not resolved:
-            return None
-        return min(resolved, key=lambda r: (abs((r.start + r.end) / 2.0 - trig_mid), r.start))
+class RecordFormatError(ValueError):
+    """A records line does not conform to the ResolutionRecord schema."""
 
 
-def dictionary_extract(text: str, index: GazetteerIndex, min_token_len: int = 2) -> list[Span]:
+def dictionary_extract(
+    text: str, index: GazetteerIndex, min_token_len: int = 2
+) -> list[Annotation]:
     """Deterministic extraction stand-in: greedy longest-match scan over runs
     of capitalized tokens whose normalized form is an exact indexed name."""
     from placelink.gazetteer import normalize_name
 
     tokens = list(_TOKEN_RE.finditer(text))
-    spans: list[Span] = []
+    spans: list[Annotation] = []
     i = 0
     while i < len(tokens):
         if not tokens[i].group(0)[0].isupper():
@@ -153,7 +114,7 @@ def dictionary_extract(text: str, index: GazetteerIndex, min_token_len: int = 2)
             start, end = tokens[i].start(), tokens[j].end()
             surface = text[start:end]
             if len(surface) >= min_token_len and index.exact_rows(normalize_name(surface)):
-                spans.append(Span(start=start, end=end, surface=surface))
+                spans.append(Annotation(start=start, end=end, surface=surface))
                 i = j + 1
                 matched = True
                 break
@@ -162,16 +123,7 @@ def dictionary_extract(text: str, index: GazetteerIndex, min_token_len: int = 2)
     return spans
 
 
-class DictionaryExtractor:
-    def __init__(self, index: GazetteerIndex, min_token_len: int = 2):
-        self.index = index
-        self.min_token_len = min_token_len
-
-    def extract(self, text: str) -> list[Span]:
-        return dictionary_extract(text, self.index, self.min_token_len)
-
-
-def _document_window(text: str, span: Span, window_chars: int) -> str:
+def _document_window(text: str, span: Annotation, window_chars: int) -> str:
     if len(text) <= window_chars:
         return text
     mid = (span.start + span.end) // 2
@@ -183,7 +135,7 @@ def _document_window(text: str, span: Span, window_chars: int) -> str:
 def _context_vectors(
     provider: EmbeddingProvider,
     text: str,
-    spans: Sequence[Span],
+    spans: Sequence[Annotation],
     mention_vecs: Sequence[np.ndarray],
     position: int,
     window_chars: int,
@@ -212,112 +164,71 @@ def _check_dimensions(model: RankerModel, provider: EmbeddingProvider) -> None:
         )
 
 
-def _scored_spans(
-    text: str,
-    spans: Sequence[Span],
-    candidate_sets: Sequence[CandidateSet],
-    model: RankerModel,
+def _document_rows(
+    doc: CorpusDocument,
+    index: GazetteerIndex,
     provider: EmbeddingProvider,
     admin_tables: AdminTables,
+    k: int | None,
     window_chars: int,
 ):
-    """Score every span of one document. Yields (scored, features, context)
-    per span, with scored None when there were no candidates to rank."""
+    """Ranker inputs for every annotation of one document, in annotation
+    order: yields (annotation, candidate set, feature rows, context). An
+    exclude_gold annotation's gold entry is withheld from its own candidates.
+    Rows and context are None for a span with no candidates to rank."""
+    candidate_sets = []
+    for ann in doc.annotations:
+        cs = query(index, ann.surface, k)
+        if ann.exclude_gold and ann.gold_geoname_id is not None:
+            cs = cs.without_id(ann.gold_geoname_id)
+        candidate_sets.append(cs)
     summaries = [summarize_candidates(cs) for cs in candidate_sets]
-    mention_vecs = [provider.embed_span(text, (s.start, s.end)) for s in spans]
-    whole_doc = provider.embed_document(text) if len(text) <= window_chars else None
-    out = []
-    for pos, (span, cs) in enumerate(zip(spans, candidate_sets)):
-        context = _context_vectors(
-            provider, text, spans, mention_vecs, pos, window_chars, whole_doc
-        )
+    mention_vecs = [provider.embed_span(doc.text, (a.start, a.end)) for a in doc.annotations]
+    whole_doc = provider.embed_document(doc.text) if len(doc.text) <= window_chars else None
+    for pos, (ann, cs) in enumerate(zip(doc.annotations, candidate_sets)):
         if not cs.candidates:
-            out.append((None, [], context))
+            yield ann, cs, None, None
             continue
+        context = _context_vectors(
+            provider, doc.text, doc.annotations, mention_vecs, pos, window_chars, whole_doc
+        )
         other_summaries = [s for i, s in enumerate(summaries) if i != pos]
         feats = [
             candidate_features(cs.normalized_query, entry, other_summaries, admin_tables)
             for entry, _ in cs.candidates
         ]
-        scored = score_candidates(model, feats, context)
-        out.append((scored, feats, context))
-    return out
+        yield ann, cs, feats, context
 
 
-def resolve_document(
-    doc: Document,
-    index: GazetteerIndex,
-    model: RankerModel,
-    provider: EmbeddingProvider,
-    admin_tables: AdminTables,
-    k: int | None = None,
-    window_chars: int = DEFAULT_WINDOW_CHARS,
-) -> list[ResolutionRecord]:
-    """Resolve every toponym span of one document, one record per span, in
-    span order. Pure inference; gold labels are never consulted."""
-    _check_dimensions(model, provider)
-    spans = doc.toponym_spans
-    candidate_sets = [query(index, s.surface, k) for s in spans]
-    records = []
-    for span, cs, (scored, _, _) in zip(
-        spans,
-        candidate_sets,
-        _scored_spans(doc.text, spans, candidate_sets, model, provider, admin_tables, window_chars),
-    ):
-        records.append(_record_from_scored(doc.doc_id, span, cs, scored))
-    return records
-
-
-def _record_from_scored(
-    doc_id: str, span: Span, cs: CandidateSet, scored
+def _record(
+    doc_id: str, ann: Annotation, cs: CandidateSet, scored: ScoredCandidateSet | None
 ) -> ResolutionRecord:
-    if scored is None or scored.abstained:
-        return ResolutionRecord(
-            doc_id=doc_id,
-            start=span.start,
-            end=span.end,
-            query_text=span.surface,
-            predicted_geoname_id=None,
-            predicted_lat=None,
-            predicted_lon=None,
-            predicted_country="",
-            predicted_admin1="",
-            predicted_feature_class="",
-            score=1.0 if scored is None else float(scored.probabilities[scored.predicted_slot]),
-            candidate_count=len(cs.candidates),
-        )
-    entry, _ = cs.candidates[scored.predicted_slot]
+    chosen = None if scored is None or scored.abstained else cs.candidates[scored.predicted_slot][0]
     return ResolutionRecord(
         doc_id=doc_id,
-        start=span.start,
-        end=span.end,
-        query_text=span.surface,
-        predicted_geoname_id=entry.geoname_id,
-        predicted_lat=entry.latitude,
-        predicted_lon=entry.longitude,
-        predicted_country=entry.country_code,
-        predicted_admin1=entry.admin1_code,
-        predicted_feature_class=entry.feature_class,
-        score=float(scored.probabilities[scored.predicted_slot]),
+        start=ann.start,
+        end=ann.end,
+        query_text=ann.surface,
+        predicted_geoname_id=None if chosen is None else chosen.geoname_id,
+        predicted_lat=None if chosen is None else chosen.latitude,
+        predicted_lon=None if chosen is None else chosen.longitude,
+        predicted_country="" if chosen is None else chosen.country_code,
+        predicted_admin1="" if chosen is None else chosen.admin1_code,
+        predicted_feature_class="" if chosen is None else chosen.feature_class,
+        score=1.0 if scored is None else float(scored.probabilities[scored.predicted_slot]),
         candidate_count=len(cs.candidates),
+        gold_geoname_id=ann.gold_geoname_id,
+        gold_lat=ann.gold_lat,
+        gold_lon=ann.gold_lon,
+        gold_country=ann.gold_country,
+        gold_admin1=ann.gold_admin1,
+        gold_feature_class=ann.gold_feature_class,
+        impossible=ann.exclude_gold,
+        gold_in_candidates=ann.gold_geoname_id is not None and ann.gold_geoname_id in cs.ids(),
     )
 
 
-def _annotated_candidate_sets(doc: CorpusDocument, index: GazetteerIndex, k: int | None):
-    sets = []
-    for ann in doc.annotations:
-        cs = query(index, ann.surface, k)
-        if ann.exclude_gold and ann.gold_geoname_id is not None:
-            cs = cs.without_id(ann.gold_geoname_id)
-        sets.append(cs)
-    return sets
-
-
-def _spans_of(doc: CorpusDocument) -> list[Span]:
-    return [Span(start=a.start, end=a.end, surface=a.surface) for a in doc.annotations]
-
-
-def resolve_annotated_document(
+def resolve_document(
     doc: CorpusDocument,
     index: GazetteerIndex,
     model: RankerModel,
@@ -326,30 +237,16 @@ def resolve_annotated_document(
     k: int | None = None,
     window_chars: int = DEFAULT_WINDOW_CHARS,
 ) -> list[ResolutionRecord]:
-    """Resolve a gold-annotated document, honoring exclude_gold flags by
-    withholding the gold entry from its own span's candidates. Gold fields
-    are copied onto the records for evaluation; they never influence scoring."""
+    """Resolve every annotated span of one document, one record per span, in
+    span order, honoring exclude_gold flags. Gold fields are copied onto the
+    records for evaluation; they never influence scoring."""
     _check_dimensions(model, provider)
-    spans = _spans_of(doc)
-    candidate_sets = _annotated_candidate_sets(doc, index, k)
-    records = []
-    scored_all = _scored_spans(
-        doc.text, spans, candidate_sets, model, provider, admin_tables, window_chars
-    )
-    for ann, span, cs, (scored, _, _) in zip(doc.annotations, spans, candidate_sets, scored_all):
-        record = _record_from_scored(doc.doc_id, span, cs, scored)
-        record.gold_geoname_id = ann.gold_geoname_id
-        record.gold_lat = ann.gold_lat
-        record.gold_lon = ann.gold_lon
-        record.gold_country = ann.gold_country
-        record.gold_admin1 = ann.gold_admin1
-        record.gold_feature_class = ann.gold_feature_class
-        record.impossible = ann.exclude_gold
-        record.gold_in_candidates = ann.gold_geoname_id is not None and ann.gold_geoname_id in set(
-            cs.ids()
+    return [
+        _record(doc.doc_id, ann, cs, None if feats is None else score_candidates(model, feats, context))
+        for ann, cs, feats, context in _document_rows(
+            doc, index, provider, admin_tables, k, window_chars
         )
-        records.append(record)
-    return records
+    ]
 
 
 def resolve_corpus(
@@ -360,22 +257,12 @@ def resolve_corpus(
     admin_tables: AdminTables,
     k: int | None = None,
     window_chars: int = DEFAULT_WINDOW_CHARS,
-    jobs: int = 1,
 ) -> list[ResolutionRecord]:
-    """Resolve a whole annotated corpus, preserving document order. Documents
-    are independent, so jobs > 1 fans them out across threads."""
-
-    def one(doc: CorpusDocument) -> list[ResolutionRecord]:
-        return resolve_annotated_document(
-            doc, index, model, provider, admin_tables, k, window_chars
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_doc = list(pool.map(one, docs))
-    else:
-        per_doc = [one(doc) for doc in docs]
-    return [record for records in per_doc for record in records]
+    """Resolve a whole annotated corpus, preserving document order."""
+    records = []
+    for doc in docs:
+        records.extend(resolve_document(doc, index, model, provider, admin_tables, k, window_chars))
+    return records
 
 
 def assemble_examples(
@@ -394,33 +281,17 @@ def assemble_examples(
     nothing to rank)."""
     examples: list[RankingExample] = []
     for doc in docs:
-        spans = _spans_of(doc)
-        candidate_sets = _annotated_candidate_sets(doc, index, k)
-        summaries = [summarize_candidates(cs) for cs in candidate_sets]
-        mention_vecs = [provider.embed_span(doc.text, (s.start, s.end)) for s in spans]
-        whole_doc = provider.embed_document(doc.text) if len(doc.text) <= window_chars else None
-        for pos, (ann, cs) in enumerate(zip(doc.annotations, candidate_sets)):
-            if not cs.candidates:
+        for ann, cs, feats, context in _document_rows(
+            doc, index, provider, admin_tables, k, window_chars
+        ):
+            if feats is None:
                 continue
-            context = _context_vectors(
-                provider, doc.text, spans, mention_vecs, pos, window_chars, whole_doc
-            )
-            other_summaries = [s for i, s in enumerate(summaries) if i != pos]
-            feats = [
-                candidate_features(cs.normalized_query, entry, other_summaries, admin_tables)
-                for entry, _ in cs.candidates
-            ]
-            ids = [entry.geoname_id for entry, _ in cs.candidates]
-            gold_slot = (
-                ids.index(ann.gold_geoname_id)
-                if ann.gold_geoname_id is not None and ann.gold_geoname_id in ids
-                else len(ids)
-            )
+            ids = cs.ids()
             examples.append(
                 RankingExample(
                     features=feats,
                     context=context,
-                    gold_slot=gold_slot,
+                    gold_slot=ids.index(ann.gold_geoname_id) if ann.gold_geoname_id in ids else len(ids),
                     gold_country=ann.gold_country,
                     doc_id=doc.doc_id,
                 )
@@ -428,71 +299,64 @@ def assemble_examples(
     return examples
 
 
-def locate_event(
-    doc: Document,
-    records: Sequence[ResolutionRecord],
-    locator: EventLocator | None = None,
-) -> EventLocationResult:
-    """Pick the record where the reported event occurred. With the built-in
-    proximity baseline a document without a trigger span is not applicable,
-    which is distinct from having no resolvable location."""
-    if locator is None:
-        locator = TriggerProximityLocator()
-    if isinstance(locator, TriggerProximityLocator) and doc.event_trigger_span is None:
+def locate_event(doc: CorpusDocument, records: Sequence[ResolutionRecord]) -> EventLocationResult:
+    """Pick the record where the reported event occurred: the resolved
+    toponym whose span midpoint is nearest the trigger midpoint, ties to the
+    earlier span. A document without a trigger span is not applicable, which
+    is distinct from having no resolvable location."""
+    if doc.event_trigger is None:
         return EventLocationResult(status="not_applicable")
-    chosen = locator.select(doc, records)
-    if chosen is None:
+    trig_mid = sum(doc.event_trigger) / 2.0
+    resolved = [r for r in records if not r.abstained]
+    if not resolved:
         return EventLocationResult(status="no_location")
+    chosen = min(resolved, key=lambda r: (abs((r.start + r.end) / 2.0 - trig_mid), r.start))
     return EventLocationResult(status="located", record=chosen)
 
 
-def record_to_dict(record: ResolutionRecord) -> dict:
-    return {
-        "doc_id": record.doc_id,
-        "start": record.start,
-        "end": record.end,
-        "query_text": record.query_text,
-        "predicted_geoname_id": record.predicted_geoname_id,
-        "predicted_lat": record.predicted_lat,
-        "predicted_lon": record.predicted_lon,
-        "predicted_country": record.predicted_country,
-        "predicted_admin1": record.predicted_admin1,
-        "predicted_feature_class": record.predicted_feature_class,
-        "score": record.score,
-        "candidate_count": record.candidate_count,
-        "gold_geoname_id": record.gold_geoname_id,
-        "gold_lat": record.gold_lat,
-        "gold_lon": record.gold_lon,
-        "gold_country": record.gold_country,
-        "gold_admin1": record.gold_admin1,
-        "gold_feature_class": record.gold_feature_class,
-        "impossible": record.impossible,
-        "gold_in_candidates": record.gold_in_candidates,
-    }
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
 
 
-def record_from_dict(raw: dict) -> ResolutionRecord:
-    return ResolutionRecord(
-        doc_id=str(raw["doc_id"]),
-        start=int(raw["start"]),
-        end=int(raw["end"]),
-        query_text=str(raw["query_text"]),
-        predicted_geoname_id=(
-            None if raw.get("predicted_geoname_id") is None else int(raw["predicted_geoname_id"])
-        ),
-        predicted_lat=None if raw.get("predicted_lat") is None else float(raw["predicted_lat"]),
-        predicted_lon=None if raw.get("predicted_lon") is None else float(raw["predicted_lon"]),
-        predicted_country=str(raw.get("predicted_country", "")),
-        predicted_admin1=str(raw.get("predicted_admin1", "")),
-        predicted_feature_class=str(raw.get("predicted_feature_class", "")),
-        score=float(raw["score"]),
-        candidate_count=int(raw["candidate_count"]),
-        gold_geoname_id=None if raw.get("gold_geoname_id") is None else int(raw["gold_geoname_id"]),
-        gold_lat=None if raw.get("gold_lat") is None else float(raw["gold_lat"]),
-        gold_lon=None if raw.get("gold_lon") is None else float(raw["gold_lon"]),
-        gold_country=str(raw.get("gold_country", "")),
-        gold_admin1=str(raw.get("gold_admin1", "")),
-        gold_feature_class=str(raw.get("gold_feature_class", "")),
-        impossible=bool(raw.get("impossible", False)),
-        gold_in_candidates=bool(raw.get("gold_in_candidates", False)),
-    )
+def _record_from_dict(raw: object, where: str) -> ResolutionRecord:
+    if not isinstance(raw, dict):
+        raise RecordFormatError(f"{where}: expected a JSON object")
+    values = {}
+    for f in fields(ResolutionRecord):
+        if f.name not in raw:
+            if f.default is MISSING:
+                raise RecordFormatError(f"{where}: missing required key {f.name!r}")
+            continue
+        value = raw[f.name]
+        # postponed annotations make f.type a string: "int", "float | None", ...
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional:
+            values[f.name] = None
+            continue
+        if not isinstance(value, _JSON_TYPES[kind]) or (kind != "bool" and isinstance(value, bool)):
+            raise RecordFormatError(f"{where}: {f.name} must be {f.type}, got {value!r}")
+        if kind == "float":
+            value = float(value)
+            if not math.isfinite(value):
+                raise RecordFormatError(f"{where}: {f.name} must be finite, got {value!r}")
+        values[f.name] = value
+    return ResolutionRecord(**values)
+
+
+def load_records(path: str) -> list[ResolutionRecord]:
+    """Read a records file written by `placelink parse`: one JSON object per
+    line, blank lines skipped. Raises RecordFormatError naming path:line for
+    invalid JSON or UTF-8, a missing required key, a wrong type or a
+    non-finite number."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            raw = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
+            raise RecordFormatError(f"{where}: invalid JSON: {exc}") from exc
+        records.append(_record_from_dict(raw, where))
+    return records

@@ -4,6 +4,7 @@ helpers for constructing entries tersely."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from placelink.gazetteer import GazetteerEntry, build_admin_tables
 from placelink.index import IndexConfig, build_index
@@ -83,3 +84,14 @@ def mini_index(mini_entries):
 @pytest.fixture(scope="session")
 def mini_tables(mini_entries):
     return build_admin_tables(mini_entries)
+
+
+def damage_bytes(data, blob: bytes) -> bytes:
+    """Truncate a file's bytes, or flip one to four of them, as drawn."""
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    damaged = bytearray(blob)
+    positions = data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4, unique=True))
+    for pos in positions:
+        damaged[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    return bytes(damaged)

