@@ -2,8 +2,9 @@
 
 Subcommands wire the library into reproducible workflows: build-index, query,
 synth, train, parse, evaluate. Every option can come from a `key = value`
-config file via --config, with explicit flags taking precedence, and all
-randomness flows from the single --seed value.
+config file via --config, keyed by the flag's dest (`out_path` for --out),
+with explicit flags taking precedence, and all randomness flows from the
+single --seed value.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 
 from placelink.corpus import load_corpus, save_corpus
 from placelink.evaluation import evaluate, format_report, query_recall
@@ -19,61 +20,44 @@ from placelink.features import hashed_bow_provider
 from placelink.gazetteer import build_admin_tables, load_gazetteer
 from placelink.index import IndexConfig, build_index, load_index, query, save_index
 from placelink.pipeline import dictionary_extract, load_records, locate_event, resolve_corpus
-from placelink.ranker import (
-    RankerConfig,
-    RankerModel,
-    load_model,
-    save_model,
-    train,
-)
+from placelink.ranker import RankerConfig, RankerModel, load_model, save_model, train
 from placelink.synthgen import augment_impossible, generate_corpus
 
 
-@dataclass
-class RunConfig:
-    gazetteer_path: str = ""
-    index_path: str = ""
-    model_path: str = ""
-    corpus_path: str = ""
-    records_path: str = ""
-    out_path: str = ""
-    name: str = ""
-    output_format: str = "table"
-    classes: str = ""
-    k: int = 50
-    n: int = 100
-    seed: int = 0
-    provider_dim: int = 256
-    impossible_fraction: float = 0.1
-    epochs: int = 15
-    batch_size: int = 60
-    dropout: float = 0.3
-    learning_rate: float = 0.4
-    embedding_dim: int = 32
-    hidden_dim: int = 64
-    gradient_accumulation_steps: int = 1
-    multitask_country_weight: float = 0.0
-    score_mode: str = "sigmoid"
-    use_population_feature: bool = True
-    eval_k: str = "50,500"
-    extract: bool = False
-    locate_events: bool = False
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    # argparse has no public accessor for a parser's subparsers or actions
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _coerce(kind: type, raw: str):
-    if kind is bool:
-        lowered = raw.strip().lower()
+def config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """The keys a config file may set: the dest of every flag of every
+    subcommand (`out_path` for --out), except --config itself."""
+    return {
+        a.dest for sub in _subcommands(parser).values() for a in sub._actions
+    } - {"help", "config"}
+
+
+def _config_value(action: argparse.Action, raw: str):
+    if action.nargs == 0:  # a switch: store_true or --x/--no-x
+        lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    return kind(raw.strip())
+        raise ValueError("expected a boolean")
+    value = action.type(raw) if action.type else raw
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {', '.join(map(str, action.choices))}")
+    return value
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    known = {f.name for f in fields(RunConfig)}
-    values: dict[str, str] = {}
+def load_config_file(path: str, parser: argparse.ArgumentParser, command: str) -> dict:
+    """Read a `key = value` file into defaults for one subcommand. Each value
+    is converted and checked like the flag it stands for; keys that belong
+    only to other subcommands are accepted and ignored."""
+    known = config_keys(parser)
+    actions = {a.dest: a for a in _subcommands(parser)[command]._actions}
+    values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -81,61 +65,42 @@ def load_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key = key.strip().replace("-", "_")
+            key, _, raw = stripped.partition("=")
+            key, raw = key.strip().replace("-", "_"), raw.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+            if key in actions:
+                try:
+                    values[key] = _config_value(actions[key], raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad {key} {raw!r}: {exc}") from exc
     return values
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for f in fields(RunConfig):
-        if f.name in file_values:
-            setattr(cfg, f.name, _coerce(type(f.default), file_values[f.name]))
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            setattr(cfg, f.name, flag_value)
-    return cfg
-
-
-def _require(cfg: RunConfig, field_name: str, flag: str) -> str:
-    value = getattr(cfg, field_name)
+def _require(args: argparse.Namespace, dest: str, flag: str) -> str:
+    value = getattr(args, dest)
     if not value:
         raise ValueError(f"missing required option {flag}")
     return value
 
 
-def _ranker_config(cfg: RunConfig) -> RankerConfig:
-    return RankerConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        dropout=cfg.dropout,
-        learning_rate=cfg.learning_rate,
-        embedding_dim=cfg.embedding_dim,
-        hidden_dim=cfg.hidden_dim,
-        gradient_accumulation_steps=cfg.gradient_accumulation_steps,
-        multitask_country_weight=cfg.multitask_country_weight,
-        seed=cfg.seed,
-        score_mode=cfg.score_mode,
-        use_population_feature=cfg.use_population_feature,
-    )
-
-
-def _provider_for_model(model: RankerModel, cfg: RunConfig):
-    seed = int(model.metadata.get("provider_seed", cfg.seed))
-    return hashed_bow_provider(model.provider_dim, seed)
+def _resolve(args: argparse.Namespace, index, docs):
+    """Load the model, the admin tables and the model's provider, then
+    resolve every annotation of the corpus."""
+    model = load_model(args.model_path)
+    tables = build_admin_tables(index.entries())
+    seed = int(model.metadata.get("provider_seed", args.seed))
+    provider = hashed_bow_provider(model.provider_dim, seed)
+    return resolve_corpus(docs, index, model, provider, tables, args.k)
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
-    gazetteer_path = _require(cfg, "gazetteer_path", "--gazetteer")
-    out_path = _require(cfg, "out_path", "--out")
-    classes = frozenset(c.strip() for c in cfg.classes.split(",") if c.strip()) or None
+    gazetteer_path = _require(args, "gazetteer_path", "--gazetteer")
+    out_path = _require(args, "out_path", "--out")
+    classes = frozenset(c.strip() for c in args.classes.split(",") if c.strip()) or None
     result = load_gazetteer(gazetteer_path, feature_classes=classes)
-    index = build_index(result.entries, IndexConfig(max_candidates=cfg.k))
+    config = IndexConfig() if args.k is None else IndexConfig(max_candidates=args.k)
+    index = build_index(result.entries, config)
     save_index(index, out_path)
     print(
         f"indexed {len(index)} entries, {index.name_count} names "
@@ -145,12 +110,11 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
-    index_path = _require(cfg, "index_path", "--index")
-    name = _require(cfg, "name", "--name")
+    index_path = _require(args, "index_path", "--index")
+    name = _require(args, "name", "--name")
     index = load_index(index_path)
-    candidates = query(index, name, cfg.k)
-    if cfg.output_format == "jsonl":
+    candidates = query(index, name, args.k)
+    if args.output_format == "jsonl":
         for entry, score in candidates.candidates:
             print(
                 json.dumps(
@@ -179,14 +143,13 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
-    gazetteer_path = _require(cfg, "gazetteer_path", "--gazetteer")
-    out_path = _require(cfg, "out_path", "--out")
+    gazetteer_path = _require(args, "gazetteer_path", "--gazetteer")
+    out_path = _require(args, "out_path", "--out")
     result = load_gazetteer(gazetteer_path)
     tables = build_admin_tables(result.entries)
-    docs = generate_corpus(result.entries, tables, cfg.n, cfg.seed)
+    docs = generate_corpus(result.entries, tables, args.n, args.seed)
     # derived stream so generation and augmentation stay independent
-    docs = augment_impossible(docs, cfg.impossible_fraction, cfg.seed + 1)
+    docs = augment_impossible(docs, args.impossible_fraction, args.seed + 1)
     save_corpus(docs, out_path)
     flagged = sum(1 for d in docs for a in d.annotations if a.exclude_gold)
     total = sum(len(d.annotations) for d in docs)
@@ -197,25 +160,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     from placelink.pipeline import assemble_examples
 
-    cfg = _build_run_config(args)
-    index_path = _require(cfg, "index_path", "--index")
-    corpus_path = _require(cfg, "corpus_path", "--corpus")
-    out_path = _require(cfg, "out_path", "--out")
+    index_path = _require(args, "index_path", "--index")
+    corpus_path = _require(args, "corpus_path", "--corpus")
+    out_path = _require(args, "out_path", "--out")
     index = load_index(index_path)
     entries = index.entries()
     tables = build_admin_tables(entries)
-    provider = hashed_bow_provider(cfg.provider_dim, cfg.seed)
+    provider = hashed_bow_provider(args.provider_dim, args.seed)
     docs = load_corpus(corpus_path)
-    examples = assemble_examples(docs, index, provider, tables, cfg.k)
+    examples = assemble_examples(docs, index, provider, tables, args.k)
     if not examples:
         raise ValueError("corpus produced no trainable examples")
-    ranker_config = _ranker_config(cfg)
     model = RankerModel.initialize(
         countries=sorted({e.country_code for e in entries if e.country_code}),
         feature_classes=sorted({e.feature_class for e in entries}),
-        provider_dim=cfg.provider_dim,
-        config=ranker_config,
-        metadata={"provider": "hashed_bow", "provider_seed": cfg.seed},
+        provider_dim=args.provider_dim,
+        config=RankerConfig(**{f.name: getattr(args, f.name) for f in fields(RankerConfig)}),
+        metadata={"provider": "hashed_bow", "provider_seed": args.seed},
     )
     model, history = train(model, examples)
     for stats in history:
@@ -229,28 +190,24 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
-    index_path = _require(cfg, "index_path", "--index")
-    model_path = _require(cfg, "model_path", "--model")
-    corpus_path = _require(cfg, "corpus_path", "--corpus")
-    out_path = _require(cfg, "out_path", "--out")
+    index_path = _require(args, "index_path", "--index")
+    _require(args, "model_path", "--model")
+    corpus_path = _require(args, "corpus_path", "--corpus")
+    out_path = _require(args, "out_path", "--out")
     index = load_index(index_path)
-    model = load_model(model_path)
-    tables = build_admin_tables(index.entries())
-    provider = _provider_for_model(model, cfg)
     docs = load_corpus(corpus_path)
-    if cfg.extract:
+    if args.extract:
         docs = [
             doc if doc.annotations else replace(doc, annotations=dictionary_extract(doc.text, index))
             for doc in docs
         ]
-    records = resolve_corpus(docs, index, model, provider, tables, cfg.k)
+    records = _resolve(args, index, docs)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
             fh.write(json.dumps(asdict(record), ensure_ascii=False, sort_keys=True) + "\n")
     abstained = sum(1 for r in records if r.abstained)
     print(f"resolved {len(records)} spans ({abstained} abstentions) -> {out_path}")
-    if cfg.locate_events:
+    if args.locate_events:
         by_doc: dict[str, list] = {}
         for record in records:
             by_doc.setdefault(record.doc_id, []).append(record)
@@ -265,36 +222,36 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
     index = docs = None
-    if cfg.index_path and cfg.corpus_path:
-        index = load_index(cfg.index_path)
-        docs = load_corpus(cfg.corpus_path)
-    if cfg.records_path:
-        records = load_records(cfg.records_path)
-    elif cfg.model_path and docs is not None:
-        model = load_model(cfg.model_path)
-        tables = build_admin_tables(index.entries())
-        records = resolve_corpus(docs, index, model, _provider_for_model(model, cfg), tables, cfg.k)
+    if args.index_path and args.corpus_path:
+        index = load_index(args.index_path)
+        docs = load_corpus(args.corpus_path)
+    if args.records_path:
+        records = load_records(args.records_path)
+    elif args.model_path and docs is not None:
+        records = _resolve(args, index, docs)
     else:
         raise ValueError("need --records, or --model with --index and --corpus")
     report = evaluate(records)
     if docs is not None:
-        k_values = [int(k) for k in cfg.eval_k.split(",") if k.strip()]
+        k_values = [int(k) for k in args.eval_k.split(",") if k.strip()]
         report.recall_at_k = query_recall(index, docs, k_values)
     print(format_report(report))
-    if cfg.out_path:
+    if args.out_path:
         payload = asdict(report)
         # string keys, so sort_keys orders them as text as it always has
         payload["recall_at_k"] = {str(k): v for k, v in report.recall_at_k.items()}
-        with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
     return 0
 
 
+_K_HELP = "max candidates per query (default: the index's own max_candidates)"
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value config file; flags override it")
-    sub.add_argument("--seed", type=int, dest="seed")
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,24 +264,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--gazetteer", dest="gazetteer_path")
     p.add_argument("--out", dest="out_path")
-    p.add_argument("--classes", dest="classes", help="comma-separated feature classes to keep")
-    p.add_argument("--k", type=int, dest="k", help="max candidates per query")
+    p.add_argument("--classes", default="", help="comma-separated feature classes to keep")
+    p.add_argument("--k", type=int, help="max candidates per query, stored in the index")
     p.set_defaults(func=cmd_build_index)
 
     p = subs.add_parser("query", help="look up candidates for one name")
     _add_common(p)
     p.add_argument("--index", dest="index_path")
-    p.add_argument("--name", dest="name")
-    p.add_argument("--k", type=int, dest="k")
-    p.add_argument("--format", dest="output_format", choices=("table", "jsonl"))
+    p.add_argument("--name")
+    p.add_argument("--k", type=int, help=_K_HELP)
+    p.add_argument("--format", dest="output_format", default="table", choices=("table", "jsonl"))
     p.set_defaults(func=cmd_query)
 
     p = subs.add_parser("synth", help="generate a synthetic annotated corpus")
     _add_common(p)
     p.add_argument("--gazetteer", dest="gazetteer_path")
     p.add_argument("--out", dest="out_path")
-    p.add_argument("--n", type=int, dest="n")
-    p.add_argument("--impossible-fraction", type=float, dest="impossible_fraction")
+    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--impossible-fraction", type=float, default=0.1)
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("train", help="train a ranking model on an annotated corpus")
@@ -332,25 +289,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", dest="index_path")
     p.add_argument("--corpus", dest="corpus_path")
     p.add_argument("--out", dest="out_path")
-    p.add_argument("--k", type=int, dest="k")
-    p.add_argument("--provider-dim", type=int, dest="provider_dim")
-    p.add_argument("--epochs", type=int, dest="epochs")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--dropout", type=float, dest="dropout")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--embedding-dim", type=int, dest="embedding_dim")
-    p.add_argument("--hidden-dim", type=int, dest="hidden_dim")
-    p.add_argument(
-        "--gradient-accumulation-steps", type=int, dest="gradient_accumulation_steps"
-    )
-    p.add_argument("--multitask-country-weight", type=float, dest="multitask_country_weight")
-    p.add_argument("--score-mode", dest="score_mode", choices=("sigmoid", "logit"))
-    p.add_argument(
-        "--use-population-feature",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="use_population_feature",
-    )
+    p.add_argument("--k", type=int, help=_K_HELP)
+    p.add_argument("--provider-dim", type=int, default=256)
+    # one flag per RankerConfig field, with its default; --seed is common
+    for f in fields(RankerConfig):
+        if f.name == "seed":
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=f.default)
+        else:
+            kind, choices = type(f.default), f.metadata.get("choices")
+            p.add_argument(flag, type=kind, default=f.default, choices=choices)
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("parse", help="resolve every toponym in a corpus")
@@ -359,19 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", dest="model_path")
     p.add_argument("--corpus", dest="corpus_path")
     p.add_argument("--out", dest="out_path")
-    p.add_argument("--k", type=int, dest="k")
+    p.add_argument("--k", type=int, help=_K_HELP)
     p.add_argument(
         "--extract",
         action="store_true",
-        default=None,
-        dest="extract",
         help="dictionary-extract spans for documents without annotations",
     )
     p.add_argument(
         "--locate-events",
         action="store_true",
-        default=None,
-        dest="locate_events",
         help="report an event location per document with a trigger span",
     )
     p.set_defaults(func=cmd_parse)
@@ -382,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", dest="corpus_path")
     p.add_argument("--index", dest="index_path")
     p.add_argument("--model", dest="model_path")
-    p.add_argument("--k", type=int, dest="k")
-    p.add_argument("--eval-k", dest="eval_k", help="comma-separated retrieval depths")
+    p.add_argument("--k", type=int, help=_K_HELP)
+    p.add_argument("--eval-k", default="50,500", help="comma-separated retrieval depths")
     p.add_argument("--out", dest="out_path", help="also write the report as JSON")
     p.set_defaults(func=cmd_evaluate)
 
@@ -397,6 +343,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.config:
+            # file values become the subcommand's defaults, so flags still win
+            defaults = load_config_file(args.config, parser, args.command)
+            _subcommands(parser)[args.command].set_defaults(**defaults)
+            args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,10 @@ bookkeeping.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Iterable
+import math
+from dataclasses import MISSING, asdict, dataclass, field
+from types import NoneType
+from typing import Iterable, Iterator
 
 
 class CorpusFormatError(ValueError):
@@ -68,33 +70,53 @@ def _validate_document(doc: CorpusDocument) -> None:
             raise CorpusFormatError(f"{where}: event trigger ({ts}, {te}) out of bounds")
 
 
+def _value(raw: object, key: str, kinds: tuple[type, ...], default=MISSING):
+    """raw[key] if its type is one of kinds (so a bool is not an int) and, for
+    a float, finite. An absent key gives the default, if there is one."""
+    if type(raw) is not dict:
+        raise TypeError(f"expected a JSON object, got {raw!r}")
+    value = raw.get(key, default)
+    if value is MISSING:
+        raise KeyError(key)
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{key} must be {names}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
+
+
 def document_from_dict(raw: dict, where: str = "corpus") -> CorpusDocument:
     try:
         annotations = [
             Annotation(
-                start=int(a["start"]),
-                end=int(a["end"]),
-                surface=str(a["surface"]),
-                gold_geoname_id=None if a.get("gold_geoname_id") is None else int(a["gold_geoname_id"]),
-                gold_lat=None if a.get("gold_lat") is None else float(a["gold_lat"]),
-                gold_lon=None if a.get("gold_lon") is None else float(a["gold_lon"]),
-                gold_country=str(a.get("gold_country", "")),
-                gold_admin1=str(a.get("gold_admin1", "")),
-                gold_feature_class=str(a.get("gold_feature_class", "")),
-                exclude_gold=bool(a.get("exclude_gold", False)),
+                start=_value(a, "start", (int,)),
+                end=_value(a, "end", (int,)),
+                surface=_value(a, "surface", (str,)),
+                gold_geoname_id=_value(a, "gold_geoname_id", (int, NoneType), None),
+                gold_lat=_value(a, "gold_lat", (float, int, NoneType), None),
+                gold_lon=_value(a, "gold_lon", (float, int, NoneType), None),
+                gold_country=_value(a, "gold_country", (str,), ""),
+                gold_admin1=_value(a, "gold_admin1", (str,), ""),
+                gold_feature_class=_value(a, "gold_feature_class", (str,), ""),
+                exclude_gold=_value(a, "exclude_gold", (bool,), False),
             )
-            for a in raw.get("annotations", [])
+            for a in _value(raw, "annotations", (list,), [])
         ]
-        trigger = raw.get("event_trigger")
+        trigger = _value(raw, "event_trigger", (list, tuple, NoneType), None)
+        if trigger is not None:
+            if len(trigger) != 2 or not all(type(t) is int for t in trigger):
+                raise ValueError(f"event_trigger must be two integers, got {trigger!r}")
+            trigger = tuple(trigger)
         return CorpusDocument(
-            doc_id=str(raw["doc_id"]),
-            text=str(raw["text"]),
+            doc_id=_value(raw, "doc_id", (str,)),
+            text=_value(raw, "text", (str,)),
             annotations=annotations,
-            event_trigger=None if trigger is None else (int(trigger[0]), int(trigger[1])),
+            event_trigger=trigger,
         )
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{where}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"{where}: malformed document record: {exc}") from exc
 
 
@@ -110,15 +132,24 @@ def save_corpus(docs: Iterable[CorpusDocument], path: str) -> None:
         fh.write(dump_corpus(docs))
 
 
+def read_jsonl(path: str, error: type[ValueError]) -> Iterator[tuple[str, object]]:
+    """Yield (path:line, value) for each non-blank line of a JSON-lines file.
+    Each line is decoded on its own, so invalid UTF-8 or JSON raises error
+    naming path:line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            raw = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
+            raise error(f"{where}: invalid JSON: {exc}") from exc
+        yield where, raw
+
+
 def load_corpus(path: str) -> list[CorpusDocument]:
-    docs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            docs.append(document_from_dict(raw, where=f"{path}:{lineno}"))
-    return docs
+    """Read a corpus file. Raises CorpusFormatError naming path:line for
+    invalid UTF-8 or JSON and for a document that does not fit the schema."""
+    return [document_from_dict(raw, where) for where, raw in read_jsonl(path, CorpusFormatError)]

@@ -238,15 +238,11 @@ def write_gazetteer_tsv(entries: Iterable[GazetteerEntry], dest: TextIO | str) -
 
 @dataclass
 class AdminTables:
-    """Administrative lookups over a loaded gazetteer.
-
-    admin1_index maps (country_code, admin1_code) to the geoname id of that
-    division's ADM1 entry; country_index maps a country code to the ids of
-    every entry in that country.
-    """
+    """The ADM1 lookup table of a loaded gazetteer: admin1_index maps
+    (country_code, admin1_code) to the geoname id of that division's ADM1
+    entry."""
 
     admin1_index: dict[tuple[str, str], int] = field(default_factory=dict)
-    country_index: dict[str, list[int]] = field(default_factory=dict)
 
     def adm1_id(self, country_code: str, admin1_code: str) -> int | None:
         if not country_code or not admin1_code:
@@ -255,7 +251,7 @@ class AdminTables:
 
 
 def build_admin_tables(entries: Iterable[GazetteerEntry]) -> AdminTables:
-    """Index ADM1 entries and per-country id lists.
+    """Index ADM1 entries.
 
     Duplicate ADM1 entries for one (country, admin1) key keep the highest
     population (lowest id on a population tie) with a logged warning.
@@ -263,8 +259,6 @@ def build_admin_tables(entries: Iterable[GazetteerEntry]) -> AdminTables:
     tables = AdminTables()
     best_pop: dict[tuple[str, str], tuple[int, int]] = {}
     for entry in entries:
-        if entry.country_code:
-            tables.country_index.setdefault(entry.country_code, []).append(entry.geoname_id)
         if entry.feature_code != "ADM1" or not entry.country_code or not entry.admin1_code:
             continue
         key = (entry.country_code, entry.admin1_code)
@@ -278,6 +272,4 @@ def build_admin_tables(entries: Iterable[GazetteerEntry]) -> AdminTables:
                 continue
         best_pop[key] = (entry.population, entry.geoname_id)
         tables.admin1_index[key] = entry.geoname_id
-    for ids in tables.country_index.values():
-        ids.sort()
     return tables

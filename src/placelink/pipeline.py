@@ -10,7 +10,6 @@ toponym where a reported event occurred.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import MISSING, dataclass, fields
@@ -18,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from placelink.corpus import Annotation, CorpusDocument
+from placelink.corpus import Annotation, CorpusDocument, read_jsonl
 from placelink.features import (
     ContextVectors,
     EmbeddingProvider,
@@ -347,16 +346,4 @@ def load_records(path: str) -> list[ResolutionRecord]:
     line, blank lines skipped. Raises RecordFormatError naming path:line for
     invalid JSON or UTF-8, a missing required key, a wrong type or a
     non-finite number."""
-    with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            raw = json.loads(line.decode("utf-8"))
-        except ValueError as exc:
-            raise RecordFormatError(f"{where}: invalid JSON: {exc}") from exc
-        records.append(_record_from_dict(raw, where))
-    return records
+    return [_record_from_dict(raw, where) for where, raw in read_jsonl(path, RecordFormatError)]

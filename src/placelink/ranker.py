@@ -113,6 +113,9 @@ class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
 
 
+SCORE_MODES = ("sigmoid", "logit")
+
+
 @dataclass(frozen=True)
 class RankerConfig:
     epochs: int = 15
@@ -124,7 +127,7 @@ class RankerConfig:
     gradient_accumulation_steps: int = 1
     multitask_country_weight: float = 0.0
     seed: int = 0
-    score_mode: str = "sigmoid"
+    score_mode: str = field(default="sigmoid", metadata={"choices": SCORE_MODES})
     use_population_feature: bool = True
 
     def __post_init__(self) -> None:
@@ -143,7 +146,7 @@ class RankerConfig:
             raise ValueError("gradient_accumulation_steps must be >= 1")
         if self.multitask_country_weight < 0.0:
             raise ValueError("multitask_country_weight must be >= 0")
-        if self.score_mode not in ("sigmoid", "logit"):
+        if self.score_mode not in SCORE_MODES:
             raise ValueError(f"score_mode must be 'sigmoid' or 'logit', got {self.score_mode!r}")
 
 
@@ -650,7 +653,6 @@ def _apply_update(model: RankerModel, grads: dict[str, np.ndarray], lr: float, c
 def train(
     model: RankerModel,
     dataset: Sequence[RankingExample],
-    config: RankerConfig | None = None,
     eval_dataset: Sequence[RankingExample] | None = None,
 ) -> tuple[RankerModel, list[EpochStats]]:
     """SGD over shuffled examples. Updates are applied every
@@ -658,7 +660,7 @@ def train(
     accumulated examples; a trailing partial accumulation at the end of an
     epoch still triggers an update. The examples of one update run as one
     packed window. The model is modified in place."""
-    cfg = config if config is not None else model.config
+    cfg = model.config
     if not dataset:
         raise ValueError("training dataset is empty")
     packed = _pack_candidates(model, dataset)

@@ -459,12 +459,12 @@ def example_backward(model, cache, gold_slot, gold_country):
     return loss, grads
 
 
-def train_per_example(model, dataset, config=None):
+def train_per_example(model, dataset):
     """The ranker's SGD loop one example at a time: gradients summed example
     by example, an update every gradient_accumulation_steps batches and at
     the end of an epoch. Modifies the model in place and returns the mean
     loss of each epoch."""
-    cfg = config if config is not None else model.config
+    cfg = model.config
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
     epoch_losses = []

@@ -1,20 +1,26 @@
 """End-to-end checks for the command-line interface.
 
-Every test drives ``placelink.cli.main`` in-process with an argv list, so exit
-codes and printed output are asserted without spawning subprocesses.
+Every test but one drives ``placelink.cli.main`` in-process with an argv list,
+so exit codes and printed output are asserted without spawning subprocesses;
+the one runs ``python -m placelink query`` as its own process.
 """
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from placelink import cli
-from placelink.cli import main
+from placelink.cli import build_parser, config_keys, main
 from placelink.corpus import load_corpus, save_corpus, CorpusDocument
 from placelink.gazetteer import write_gazetteer_tsv
 from placelink.index import load_index
-from placelink.ranker import RankerModel, load_model
+from placelink.ranker import RankerConfig, RankerModel, load_model
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +163,27 @@ class TestQuery:
         assert rc == 1
         assert "error:" in captured.err
 
+    def test_k_defaults_to_the_index_max_candidates(self, ws, tmp_path, capsys):
+        index = str(tmp_path / "k2.idx")
+        assert main(["build-index", "--gazetteer", ws["gaz"], "--out", index, "--k", "2"]) == 0
+        capsys.readouterr()
+        assert main(["query", "--index", index, "--name", "Paris"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert main(["query", "--index", index, "--name", "Paris", "--k", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_module_entry_point_prints_jsonl(self, ws, capsys):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["query", "--index", ws["index"], "--name", "Paris", "--k", "50", "--format", "jsonl"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "placelink", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert [json.loads(line)["geoname_id"] for line in proc.stdout.splitlines()] == [2, 6, 11]
+
 
 class TestSynth:
     def test_reports_counts(self, ws, tmp_path, capsys):
@@ -283,6 +310,14 @@ class TestTrain:
         assert rc == 1
         assert "--corpus" in captured.err
 
+    def test_help_lists_one_flag_per_ranker_field(self, capsys):
+        assert main(["train", "--help"]) == 0
+        words = capsys.readouterr().out.replace("[", " ").replace("]", " ").replace(",", " ").split()
+        for f in fields(RankerConfig):
+            flag = "--" + f.name.replace("_", "-")
+            assert flag in words, flag
+        assert "--no-use-population-feature" in words
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, ws, tmp_path):
@@ -325,6 +360,42 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert rc == 1
         assert "expected 'key = value'" in captured.err
+
+    def test_accepted_keys_are_pinned(self):
+        assert config_keys(build_parser()) == {
+            "gazetteer_path", "index_path", "model_path", "corpus_path", "records_path",
+            "out_path", "name", "output_format", "classes", "k", "n", "seed", "provider_dim",
+            "impossible_fraction", "epochs", "batch_size", "dropout", "learning_rate",
+            "embedding_dim", "hidden_dim", "gradient_accumulation_steps",
+            "multitask_country_weight", "score_mode", "use_population_feature", "eval_k",
+            "extract", "locate_events",
+        }
+
+    @pytest.mark.parametrize(
+        "command, line, value",
+        [
+            ("query", "output_format = xml", "'xml'"),
+            ("query", "k = many", "'many'"),
+            ("synth", "impossible_fraction = lots", "'lots'"),
+            ("train", "score_mode = linear", "'linear'"),
+            ("train", "use_population_feature = maybe", "'maybe'"),
+            ("parse", "extract = sometimes", "'sometimes'"),
+        ],
+    )
+    def test_value_checked_like_its_flag(self, tmp_path, capsys, command, line, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        rc = main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and value in err and f"{cfg}:1" in err
+
+    def test_key_of_another_subcommand_ignored(self, ws, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 3\nscore_mode = anything\nn = 6\n", encoding="utf-8")
+        out = str(tmp_path / "cfg.jsonl")
+        assert main(["synth", "--config", str(cfg), "--gazetteer", ws["gaz"], "--out", out]) == 0
+        assert len(load_corpus(out)) == 6
 
     def test_boolean_coercion(self, ws, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -6,7 +6,10 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import damage_bytes
 from placelink.corpus import (
     Annotation,
     CorpusDocument,
@@ -144,3 +147,58 @@ class TestValidation:
         assert ann.gold_geoname_id is None
         assert ann.gold_country == ""
         assert ann.exclude_gold is False
+
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        with pytest.raises(CorpusFormatError, match=f"{path}:1: invalid JSON"):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("exclude_gold", "false"),
+            ("exclude_gold", 0),
+            ("gold_lat", float("nan")),
+            ("gold_lon", float("nan")),
+            ("gold_lat", float("inf")),
+            ("gold_geoname_id", 2.7),
+            ("gold_geoname_id", 2.0),
+            ("gold_geoname_id", True),
+            ("start", "14"),
+            ("surface", 7),
+            ("gold_country", None),
+        ],
+    )
+    def test_wrong_annotation_value_rejected(self, key, value):
+        raw = asdict(sample_docs()[0])
+        raw["annotations"][0][key] = value
+        with pytest.raises(CorpusFormatError, match=key):
+            document_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [],
+            {"doc_id": 1, "text": "x"},
+            {"doc_id": "d", "text": "x", "annotations": "none"},
+            {"doc_id": "d", "text": "x", "annotations": [[0, 1]]},
+            {"doc_id": "d", "text": "xyz", "event_trigger": [0, 1, 2]},
+            {"doc_id": "d", "text": "xyz", "event_trigger": [0.0, 1]},
+        ],
+    )
+    def test_malformed_document_rejected(self, raw):
+        with pytest.raises(CorpusFormatError, match="malformed"):
+            document_from_dict(raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flipped_or_truncated_corpus_loads_or_raises(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("flip") / "corpus.jsonl"
+    path.write_bytes(damage_bytes(data, dump_corpus(sample_docs()).encode("utf-8")))
+    try:
+        docs = load_corpus(str(path))
+    except CorpusFormatError:
+        return
+    assert all(isinstance(d, CorpusDocument) for d in docs)

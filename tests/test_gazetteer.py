@@ -236,16 +236,10 @@ class TestAdminTables:
         assert mini_tables.adm1_id("", "TX") is None
         assert mini_tables.adm1_id("US", "") is None
 
-    def test_country_index_sorted_and_complete(self, mini_tables):
-        assert mini_tables.country_index["US"] == [4, 5, 6, 7, 8, 9, 10]
-        assert mini_tables.country_index["FR"] == [1, 2, 3, 11]
-
     def test_every_stored_id_resolves(self, mini_entries, mini_tables):
         known = {e.geoname_id for e in mini_entries}
         for gid in mini_tables.admin1_index.values():
             assert gid in known
-        for ids in mini_tables.country_index.values():
-            assert set(ids) <= known
 
     def test_no_adm1_entries_gives_empty_index(self):
         tables = build_admin_tables([make_entry(1, "Paris", cc="FR")])
