@@ -17,7 +17,7 @@ from dataclasses import asdict, fields, replace
 from placelink.corpus import load_corpus, save_corpus
 from placelink.evaluation import evaluate, format_report, query_recall
 from placelink.features import hashed_bow_provider
-from placelink.gazetteer import build_admin_tables, load_gazetteer
+from placelink.gazetteer import AdminTables, build_admin_tables, load_gazetteer
 from placelink.index import IndexConfig, build_index, load_index, query, save_index
 from placelink.pipeline import dictionary_extract, load_records, locate_event, resolve_corpus
 from placelink.ranker import RankerConfig, RankerModel, load_model, save_model, train
@@ -58,22 +58,27 @@ def load_config_file(path: str, parser: argparse.ArgumentParser, command: str) -
     known = config_keys(parser)
     actions = {a.dest: a for a in _subcommands(parser)[command]._actions}
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = stripped.partition("=")
-            key, raw = key.strip().replace("-", "_"), raw.strip()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in actions:
-                try:
-                    values[key] = _config_value(actions[key], raw)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad {key} {raw!r}: {exc}") from exc
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    # each line is decoded on its own, so invalid UTF-8 is reported at its line
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            stripped = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid UTF-8: {exc}") from exc
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = stripped.partition("=")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if key not in known:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in actions:
+            try:
+                values[key] = _config_value(actions[key], raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {key} {raw!r}: {exc}") from exc
     return values
 
 
@@ -84,11 +89,17 @@ def _require(args: argparse.Namespace, dest: str, flag: str) -> str:
     return value
 
 
+def admin_tables(index) -> AdminTables:
+    """The admin tables of an index, built from its ADM1 rows alone so that
+    no other entry is materialised."""
+    return build_admin_tables(index.entries(index.rows_where("feature_code", "ADM1")))
+
+
 def _resolve(args: argparse.Namespace, index, docs):
     """Load the model, the admin tables and the model's provider, then
     resolve every annotation of the corpus."""
     model = load_model(args.model_path)
-    tables = build_admin_tables(index.entries())
+    tables = admin_tables(index)
     seed = int(model.metadata.get("provider_seed", args.seed))
     provider = hashed_bow_provider(model.provider_dim, seed)
     return resolve_corpus(docs, index, model, provider, tables, args.k)
@@ -164,16 +175,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus_path = _require(args, "corpus_path", "--corpus")
     out_path = _require(args, "out_path", "--out")
     index = load_index(index_path)
-    entries = index.entries()
-    tables = build_admin_tables(entries)
+    tables = admin_tables(index)
     provider = hashed_bow_provider(args.provider_dim, args.seed)
     docs = load_corpus(corpus_path)
     examples = assemble_examples(docs, index, provider, tables, args.k)
     if not examples:
         raise ValueError("corpus produced no trainable examples")
     model = RankerModel.initialize(
-        countries=sorted({e.country_code for e in entries if e.country_code}),
-        feature_classes=sorted({e.feature_class for e in entries}),
+        countries=sorted(index.column_values("country_code") - {""}),
+        feature_classes=sorted(index.column_values("feature_class")),
         provider_dim=args.provider_dim,
         config=RankerConfig(**{f.name: getattr(args, f.name) for f in fields(RankerConfig)}),
         metadata={"provider": "hashed_bow", "provider_seed": args.seed},

@@ -86,6 +86,15 @@ def _value(raw: object, key: str, kinds: tuple[type, ...], default=MISSING):
     return value
 
 
+def _bounded(raw: object, key: str, kinds: tuple[type, ...], low: float, high: float = math.inf):
+    """_value with a None default, and a value that is not None must lie in
+    [low, high]."""
+    value = _value(raw, key, (*kinds, NoneType), None)
+    if value is not None and not low <= value <= high:
+        raise ValueError(f"{key} must lie in [{low}, {high}], got {value!r}")
+    return value
+
+
 def document_from_dict(raw: dict, where: str = "corpus") -> CorpusDocument:
     try:
         annotations = [
@@ -93,9 +102,9 @@ def document_from_dict(raw: dict, where: str = "corpus") -> CorpusDocument:
                 start=_value(a, "start", (int,)),
                 end=_value(a, "end", (int,)),
                 surface=_value(a, "surface", (str,)),
-                gold_geoname_id=_value(a, "gold_geoname_id", (int, NoneType), None),
-                gold_lat=_value(a, "gold_lat", (float, int, NoneType), None),
-                gold_lon=_value(a, "gold_lon", (float, int, NoneType), None),
+                gold_geoname_id=_bounded(a, "gold_geoname_id", (int,), 1),
+                gold_lat=_bounded(a, "gold_lat", (float, int), -90.0, 90.0),
+                gold_lon=_bounded(a, "gold_lon", (float, int), -180.0, 180.0),
                 gold_country=_value(a, "gold_country", (str,), ""),
                 gold_admin1=_value(a, "gold_admin1", (str,), ""),
                 gold_feature_class=_value(a, "gold_feature_class", (str,), ""),

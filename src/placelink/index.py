@@ -210,6 +210,16 @@ class GazetteerIndex:
         keep &= rows[need - 1 :] == rows[:last]
         return rows[:last][keep]
 
+    def rows_where(self, column: str, value: str) -> list[int]:
+        """Rows whose code column (feature_code, country_code, ...) holds
+        value, ascending."""
+        codes = [i for i, code in enumerate(self._codes) if code == value]
+        return np.flatnonzero(np.isin(self.arrays[column], codes)).tolist()
+
+    def column_values(self, column: str) -> set[str]:
+        """The distinct values of a code column."""
+        return {self._codes[i] for i in np.unique(self.arrays[column]).tolist()}
+
     def entries(self, rows: Sequence[int] | None = None) -> list[GazetteerEntry]:
         """The entries at the given rows (every entry, in build order, by
         default), materialised from the columns on first access and cached."""

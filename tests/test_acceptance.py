@@ -355,10 +355,10 @@ def test_criterion_08_pipeline_is_deterministic(world, tmp_path_factory):
 # toy world, a change in summation order) updates these in the same change
 # and states the old and new digests in CHANGES.md.
 GOLDEN_DIGESTS = {
-    "index": "9851151243844e7dbdb826576c9b861e166c9d155a17201ed34089555c0713de",
-    "model": "ed49ec0ed1e91955799921cb75bcc36f5e6f25a6ca8911cb6f635c3e70e1dd5a",
-    "records": "9030287e0b045165b28bdefc5f57e6e8a9943d3d843dbc5a932913cbf2ba2421",
-    "report": "b1082f213205c233f5daa4e39a957a14951c4263106748d370562cbeea7fe76e",
+    "index": "417a63b710313b56b64b1e53364ac5f20ba028a6d9d1b572d9830ef1d01b085c",
+    "model": "c37d0432a30d030188c869980492b3fd1f7ea525e4a684a1ac72ae7e7a25e7f1",
+    "records": "9d4ede51009e772dd348f2cadf402ff6a66bf7e0bbfdacae4b797ad9dee3aee4",
+    "report": "51b8f967b8538ec05dfe7b21d3f62142d286683808b068bfb59691ea7f1ced22",
 }
 
 

@@ -18,9 +18,10 @@ import pytest
 from placelink import cli
 from placelink.cli import build_parser, config_keys, main
 from placelink.corpus import load_corpus, save_corpus, CorpusDocument
-from placelink.gazetteer import write_gazetteer_tsv
-from placelink.index import load_index
+from placelink.gazetteer import build_admin_tables, write_gazetteer_tsv
+from placelink.index import build_index, load_index, save_index
 from placelink.ranker import RankerConfig, RankerModel, load_model
+from placelink.toygaz import build_toy_gazetteer
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +362,21 @@ class TestConfigFile:
         assert rc == 1
         assert "expected 'key = value'" in captured.err
 
+    def test_invalid_utf8_names_file_and_line(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# comment\nn = 5\xff\n")
+        rc = main(["synth", "--config", str(cfg), "--gazetteer", ws["gaz"], "--out", "x"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"error: {cfg}:2: invalid UTF-8" in captured.err
+
+    def test_crlf_lines_accepted(self, ws, tmp_path):
+        cfg = tmp_path / "crlf.cfg"
+        cfg.write_bytes(b"# comment\r\nn = 3\r\n")
+        out = str(tmp_path / "crlf.jsonl")
+        assert main(["synth", "--config", str(cfg), "--gazetteer", ws["gaz"], "--out", out]) == 0
+        assert len(load_corpus(out)) == 3
+
     def test_accepted_keys_are_pinned(self):
         assert config_keys(build_parser()) == {
             "gazetteer_path", "index_path", "model_path", "corpus_path", "records_path",
@@ -416,6 +432,20 @@ class TestConfigFile:
         )
         assert rc == 0
         assert load_model(out).config.use_population_feature is False
+
+
+@pytest.mark.parametrize("world", ["mini", "toy"])
+def test_code_columns_equal_the_all_entries_path(world, mini_entries, tmp_path):
+    entries = mini_entries if world == "mini" else build_toy_gazetteer()
+    save_index(build_index(entries), str(tmp_path / "world.idx"))
+    index = load_index(str(tmp_path / "world.idx"))  # nothing materialised yet
+    assert cli.admin_tables(index) == build_admin_tables(entries)
+    assert index.column_values("country_code") == {e.country_code for e in entries}
+    assert index.column_values("feature_class") == {e.feature_class for e in entries}
+    assert index.entries(index.rows_where("feature_code", "PPLC")) == [
+        e for e in entries if e.feature_code == "PPLC"
+    ]
+    assert index.rows_where("feature_code", "none such") == []
 
 
 class TestParse:

@@ -177,6 +177,32 @@ class TestValidation:
             document_from_dict(raw)
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gold_lat", 500.0),
+            ("gold_lat", -90.5),
+            ("gold_lon", -999.0),
+            ("gold_lon", 181),
+            ("gold_geoname_id", -3),
+            ("gold_geoname_id", 0),
+        ],
+    )
+    def test_out_of_range_annotation_value_rejected(self, key, value):
+        raw = asdict(sample_docs()[0])
+        raw["annotations"][0][key] = value
+        with pytest.raises(CorpusFormatError, match=f"{key} must lie in"):
+            document_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("gold_lat", 90), ("gold_lat", -90.0), ("gold_lon", 180.0), ("gold_lon", -180), ("gold_geoname_id", 1)],
+    )
+    def test_range_bounds_accepted(self, key, value):
+        raw = asdict(sample_docs()[0])
+        raw["annotations"][0][key] = value
+        assert getattr(document_from_dict(raw).annotations[0], key) == value
+
+    @pytest.mark.parametrize(
         "raw",
         [
             [],

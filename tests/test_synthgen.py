@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import io
+import re
 
 import pytest
 
 from conftest import make_entry
 from placelink.corpus import Annotation, CorpusDocument, dump_corpus
 from placelink.gazetteer import build_admin_tables, write_gazetteer_tsv
+from placelink.index import build_index
 from placelink.synthgen import (
     DEFAULT_TEMPLATES,
     RELATION_SLOTS,
@@ -28,14 +30,111 @@ class TestToyGazetteer:
     @pytest.mark.parametrize(
         "kwargs, digest",
         [
-            ({}, "fc25fe2494230054570199c391fa6eba9acecdd9aff01da37a3b562a4069b393"),
-            ({"n_countries": 60}, "7ca0390ca684827ae1c56f3754497458ad7203b1686158ee038c02d7b14995c3"),
+            ({}, "fc51a5cbffcbf9c13c800db780215f4f9611ebb1c159722a3f147fab592c66a7"),
+            ({"n_countries": 60}, "dec1ad5c39906d9d17f39b6a2b913edd63c9a4a1c9860372669987622574389a"),
         ],
+        ids=["default", "60-countries"],
     )
     def test_tsv_digest_is_pinned(self, kwargs, digest):
         out = io.StringIO()
         write_gazetteer_tsv(build_toy_gazetteer(**kwargs), out)
         assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
+
+    # base names are two or three consonant-vowel syllables
+    _BASE = "[BDFGHKLMNPRSTVZ][aeiou](?:[bdfghklmnprstvz][aeiou]){1,2}"
+    _NAMES = {
+        "PCLI": f"{_BASE}(?:land|ia|stan|ora)",
+        "PPLC": _BASE,
+        "ADM1": f"{_BASE} (?:Province|State|Region|District)",
+        "PPL": _BASE,
+        "LK": f"Lake {_BASE}",
+        "HLLS": f"{_BASE} Hills",
+    }
+    # half-width in degrees of the box around the country centre, and the
+    # population range
+    _BOX = {"PCLI": 0.0, "PPLC": 1.5, "ADM1": 5.0, "PPL": 7.0, "LK": 7.0, "HLLS": 7.0}
+    _POPULATION = {
+        "PCLI": (int(10**6.5), 10**7.7),
+        "PPLC": (int(10**5.5), 10**6.8),
+        "ADM1": (int(10**4.5), 10**5.5),
+        "PPL": (100, 10**6),
+        "LK": (0, 0),
+        "HLLS": (0, 0),
+    }
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"n_countries": 9, "adm1_per_country": 3, "cities_per_adm1": 30, "seed": 11}],
+        ids=["default", "small"],
+    )
+    def test_world_shape(self, kwargs):
+        n, adm1, cities = (kwargs.get(k, d) for k, d in
+                           (("n_countries", 25), ("adm1_per_country", 4), ("cities_per_adm1", 20)))
+        entries = build_toy_gazetteer(**kwargs)
+        assert entries == build_toy_gazetteer(**kwargs)
+        assert entries != build_toy_gazetteer(**{**kwargs, "seed": kwargs.get("seed", 7) + 1})
+        assert len(entries) == n * (adm1 * cities + adm1 + 4)
+        assert [e.geoname_id for e in entries] == list(range(1_000_000, 1_000_000 + len(entries)))
+
+        # each country: its record, the capital, each division followed by
+        # its cities, then a lake and hills
+        per_country = len(entries) // n
+        codes = [f"{a:02d}" for a in range(1, adm1 + 1)]
+        for c in range(n):
+            rows = entries[c * per_country : (c + 1) * per_country]
+            assert {e.country_code for e in rows} == {chr(65 + c // 26) + chr(65 + c % 26)}
+            layout = [("PCLI", "00"), ("PPLC", "01")]
+            for code in codes:
+                layout += [("ADM1", code)] + [("PPL", code)] * cities
+            assert [(e.feature_code, e.admin1_code) for e in rows[:-2]] == layout
+            assert [e.feature_code for e in rows[-2:]] == ["LK", "HLLS"]
+            assert {e.admin1_code for e in rows[-2:]} <= set(codes)
+            centre = rows[0]
+            for e in rows:
+                assert e.feature_class == {"PCLI": "A", "ADM1": "A", "LK": "H", "HLLS": "T"}.get(
+                    e.feature_code, "P"
+                )
+                assert re.fullmatch(self._NAMES[e.feature_code], e.name), e
+                assert e.ascii_name == e.name and e.admin2_code == ""
+                low, high = self._POPULATION[e.feature_code]
+                assert low <= e.population <= high, e
+                assert abs(e.longitude - centre.longitude) <= self._BOX[e.feature_code] + 1e-9
+                if e.feature_code != "PCLI":
+                    assert -85.0 <= e.latitude <= 85.0
+                    assert e.latitude <= centre.latitude + self._BOX[e.feature_code] + 1e-9
+
+        # names are unique outside 30 groups of 2-4 cities in distinct countries
+        by_name: dict[str, list] = {}
+        for e in entries:
+            by_name.setdefault(e.name, []).append(e)
+        groups = [group for group in by_name.values() if len(group) > 1]
+        assert len(groups) == 30
+        for group in groups:
+            assert 2 <= len(group) <= 4
+            assert {e.feature_code for e in group} == {"PPL"}
+            assert len({e.country_code for e in group}) == len(group)
+
+        # capitals carry a diacritic form and " City"; about 20% of cities a
+        # diacritic form; nothing else has alternates
+        variant = str.maketrans("aeiou", "áéíöü")
+        with_alternates = 0
+        for e in entries:
+            if e.feature_code == "PPLC":
+                assert e.alternative_names == (e.name.translate(variant), e.name + " City")
+            elif e.feature_code == "PPL" and e.alternative_names:
+                assert e.alternative_names == (e.name.translate(variant),)
+                with_alternates += 1
+            else:
+                assert e.alternative_names == ()
+        assert 0.15 <= with_alternates / (n * adm1 * cities) <= 0.25
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="ROADMAP item 12: the PCLI rows of countries 42+ lie above latitude 90",
+    )
+    def test_index_accepts_a_43_country_world(self):
+        build_index(build_toy_gazetteer(n_countries=43))
 
 
 class TestTemplate:
