@@ -2,9 +2,8 @@
 """Ranker ablations on one synthetic world.
 
 Trains several configurations on the same corpus and prints a comparison
-table: scoring mode, the population feature, multitask country supervision,
-and gradient accumulation (the last pair demonstrates that batch 15 with 4
-accumulation steps reproduces batch 60 exactly).
+table: scoring mode, the population feature and multitask country
+supervision.
 """
 
 import argparse
@@ -30,11 +29,6 @@ VARIANTS = [
             "multitask_country_weight": 0.3,
             "use_population_feature": False,
         },
-    ),
-    ("logit, batch 60", {"score_mode": "logit", "batch_size": 60}),
-    (
-        "logit, batch 15 x 4 accum",
-        {"score_mode": "logit", "batch_size": 15, "gradient_accumulation_steps": 4},
     ),
 ]
 

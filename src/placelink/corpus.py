@@ -86,6 +86,20 @@ def _value(raw: object, key: str, kinds: tuple[type, ...], default=MISSING):
     return value
 
 
+# the JSON types each scalar field annotation admits; a float field takes an int
+_FIELD_KINDS = {"str": (str,), "int": (int,), "float": (float, int), "bool": (bool,)}
+
+
+def field_value(raw: object, name: str, annotation: str, default=MISSING):
+    """raw[name] checked by _value against a dataclass field annotation
+    ("int", "float | None", ...), so a dataclass with postponed annotations
+    can check each field as field_value(raw, f.name, f.type, f.default). An
+    int for a float field comes back as a float."""
+    kind, _, optional = annotation.partition(" | ")
+    value = _value(raw, name, _FIELD_KINDS[kind] + ((NoneType,) if optional else ()), default)
+    return float(value) if kind == "float" and value is not None else value
+
+
 def _bounded(raw: object, key: str, kinds: tuple[type, ...], low: float, high: float = math.inf):
     """_value with a None default, and a value that is not None must lie in
     [low, high]."""

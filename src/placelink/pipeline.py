@@ -10,14 +10,13 @@ toponym where a reported event occurred.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from placelink.corpus import Annotation, CorpusDocument, read_jsonl
+from placelink.corpus import Annotation, CorpusDocument, field_value, read_jsonl
 from placelink.features import (
     ContextVectors,
     EmbeddingProvider,
@@ -313,31 +312,13 @@ def locate_event(doc: CorpusDocument, records: Sequence[ResolutionRecord]) -> Ev
     return EventLocationResult(status="located", record=chosen)
 
 
-_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
-
-
 def _record_from_dict(raw: object, where: str) -> ResolutionRecord:
-    if not isinstance(raw, dict):
-        raise RecordFormatError(f"{where}: expected a JSON object")
-    values = {}
-    for f in fields(ResolutionRecord):
-        if f.name not in raw:
-            if f.default is MISSING:
-                raise RecordFormatError(f"{where}: missing required key {f.name!r}")
-            continue
-        value = raw[f.name]
-        # postponed annotations make f.type a string: "int", "float | None", ...
-        kind, _, optional = f.type.partition(" | ")
-        if value is None and optional:
-            values[f.name] = None
-            continue
-        if not isinstance(value, _JSON_TYPES[kind]) or (kind != "bool" and isinstance(value, bool)):
-            raise RecordFormatError(f"{where}: {f.name} must be {f.type}, got {value!r}")
-        if kind == "float":
-            value = float(value)
-            if not math.isfinite(value):
-                raise RecordFormatError(f"{where}: {f.name} must be finite, got {value!r}")
-        values[f.name] = value
+    try:
+        values = {f.name: field_value(raw, f.name, f.type, f.default) for f in fields(ResolutionRecord)}
+    except KeyError as exc:
+        raise RecordFormatError(f"{where}: missing required key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise RecordFormatError(f"{where}: {exc}") from exc
     return ResolutionRecord(**values)
 
 

@@ -9,10 +9,9 @@ over the resulting vector yields the distribution the cross-entropy loss is
 trained on. A config switch can feed the softmax raw logits instead, which
 removes the sigmoid's loss floor.
 
-Training is plain SGD with inverted dropout on the feature layer, optional
-gradient accumulation across batches, and an optional auxiliary head that
-predicts the gold country from the projected document vector (sharing the
-country embedding table as its output matrix).
+Training is plain SGD with inverted dropout on the feature layer and an
+optional auxiliary head that predicts the gold country from the projected
+document vector (sharing the country embedding table as its output matrix).
 
 Every pass runs over a packed window of examples rather than one example at
 a time. The candidate rows of the window are concatenated, with one segment
@@ -20,25 +19,30 @@ per example, so each layer is one matmul over all rows, and the softmax with
 its abstention slot is a segmented log-softmax over each segment. The six
 similarity columns are the country embedding against the projected mention,
 other-mentions and document vectors, then the feature-class embedding
-against the same three. Training packs batch_size * gradient_accumulation_steps
-examples per window: parameters are constant between updates, so gradient
-accumulation is the same computation as one larger batch. Scoring one toponym
-and the gradient check use a window of one example.
+against the same three. Each training update is one window of batch_size
+examples, and the accuracy an epoch reports is read off those same forward
+passes. Scoring one toponym and the gradient check use a window of one
+example.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, field
+import zlib
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
+from placelink.corpus import field_value
 from placelink.features import CandidateFeatures, ContextVectors
 
 MODEL_MAGIC = b"PLRANKER"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+# magic, then u32 version, header length and crc32
+_PREAMBLE_BYTES = len(MODEL_MAGIC) + 12
 
 OOV_TOKEN = "<OOV>"
 
@@ -124,13 +128,15 @@ class RankerConfig:
     learning_rate: float = 0.4
     embedding_dim: int = 32
     hidden_dim: int = 64
-    gradient_accumulation_steps: int = 1
     multitask_country_weight: float = 0.0
     seed: int = 0
     score_mode: str = field(default="sigmoid", metadata={"choices": SCORE_MODES})
     use_population_feature: bool = True
 
     def __post_init__(self) -> None:
+        # a bool or float where an int belongs, or a non-finite float, raises
+        for f in fields(self):
+            field_value(vars(self), f.name, f.type)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -142,8 +148,6 @@ class RankerConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.embedding_dim < 1 or self.hidden_dim < 1:
             raise ValueError("embedding_dim and hidden_dim must be >= 1")
-        if self.gradient_accumulation_steps < 1:
-            raise ValueError("gradient_accumulation_steps must be >= 1")
         if self.multitask_country_weight < 0.0:
             raise ValueError("multitask_country_weight must be >= 0")
         if self.score_mode not in SCORE_MODES:
@@ -221,9 +225,6 @@ class RankerModel:
     def fclass_row(self, code: str) -> int:
         return self._fclass_rows.get(code, 0)
 
-    def parameter_count(self) -> int:
-        return sum(int(p.size) for p in self.params.values())
-
 
 @dataclass
 class ScoredCandidateSet:
@@ -231,12 +232,11 @@ class ScoredCandidateSet:
     the final abstention slot."""
 
     probabilities: np.ndarray
-    raw_scores: np.ndarray
     predicted_slot: int
 
     @property
     def null_slot(self) -> int:
-        return len(self.raw_scores)
+        return len(self.probabilities) - 1
 
     @property
     def abstained(self) -> bool:
@@ -265,10 +265,13 @@ class RankingExample:
 
 @dataclass
 class EpochStats:
+    """train_accuracy is the share of the epoch's examples whose argmax slot
+    was gold in the training forward pass: under dropout, and before the
+    update that pass fed."""
+
     epoch: int
     train_loss: float
     train_accuracy: float
-    eval_accuracy: float | None = None
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -470,12 +473,9 @@ def _window_forward(model: RankerModel, w: _Window, mask: np.ndarray | None) -> 
 
     hidden = np.tanh(xd @ p["hidden_w"].T + p["hidden_b"])
     z = hidden @ p["out_w"] + p["out_b"][0]
-    scores = _sigmoid(z)
     if model.config.score_mode == "sigmoid":
-        null_score = float(_sigmoid(p["null_bias"])[0])
-        q, q_null = scores, null_score
+        q, q_null = _sigmoid(z), float(_sigmoid(p["null_bias"])[0])
     else:
-        null_score = None
         q, q_null = z, float(p["null_bias"][0])
     log_probs, log_null = _segment_log_softmax(q, q_null, w.starts, w.segment)
 
@@ -492,8 +492,8 @@ def _window_forward(model: RankerModel, w: _Window, mask: np.ndarray | None) -> 
         "mask": mask,
         "xd": xd,
         "hidden": hidden,
-        "scores": scores,
-        "null_score": null_score,
+        "q": q,
+        "q_null": q_null,
         "log_probs": log_probs,
         "log_null": log_null,
     }
@@ -540,9 +540,9 @@ def _window_backward(
     dq_null = np.exp(cache["log_null"])
     dq_null[null_gold] -= 1.0
     if model.config.score_mode == "sigmoid":
-        s = cache["scores"]
+        s = cache["q"]
         dz = dq * s * (1.0 - s)
-        s_null = cache["null_score"]
+        s_null = cache["q_null"]
         d_null = np.sum(dq_null * s_null * (1.0 - s_null))
     else:
         dz = dq
@@ -588,8 +588,9 @@ def _window_backward(
 
 
 def _predicted_slots(probs: np.ndarray, null_probs: np.ndarray, w: _Window) -> np.ndarray:
-    """Argmax of each segment's distribution, abstention slot last. As with
-    np.argmax, ties go to the lowest slot and a NaN counts as the maximum."""
+    """Argmax of each segment's values (probabilities or their logs),
+    abstention slot last. As with np.argmax, ties go to the lowest slot and a
+    NaN counts as the maximum."""
     best = np.maximum(np.maximum.reduceat(probs, w.starts), null_probs)
     hit = (probs == best[w.segment]) | np.isnan(probs)
     slot = np.arange(len(probs)) - w.starts[w.segment]
@@ -604,19 +605,13 @@ def score_candidates(
     model: RankerModel,
     features: Sequence[CandidateFeatures],
     context: ContextVectors,
-    training_mode: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> ScoredCandidateSet:
     """Score one toponym's candidates. The returned probabilities have one
-    extra slot at the end for abstention; raw_scores are the per-candidate
-    sigmoid outputs. Ties in the argmax go to the lowest slot. Raises
-    ValueError when a probability is not finite, which only a non-finite
-    parameter can cause."""
+    extra slot at the end for abstention. Ties in the argmax go to the lowest
+    slot. Raises ValueError when a probability is not finite, which only a
+    non-finite parameter can cause."""
     w = _single_window(model, RankingExample(list(features), context, gold_slot=0))
-    if training_mode and rng is None:
-        rng = np.random.default_rng(model.config.seed)
-    mask = _dropout_mask(model, rng, len(w.segment)) if training_mode else None
-    cache = _window_forward(model, w, mask)
+    cache = _window_forward(model, w, None)
     probabilities = np.exp(np.append(cache["log_probs"], cache["log_null"]))
     if not np.isfinite(probabilities).all():
         raise ValueError(
@@ -624,24 +619,8 @@ def score_candidates(
         )
     return ScoredCandidateSet(
         probabilities=probabilities,
-        raw_scores=cache["scores"],
         predicted_slot=int(np.argmax(probabilities)),
     )
-
-
-def _dataset_accuracy(
-    model: RankerModel,
-    dataset: Sequence[RankingExample],
-    packed: _PackedCandidates,
-    batch_size: int,
-) -> float:
-    hits = 0
-    for start in range(0, len(dataset), batch_size):
-        w = _window(model, packed, dataset, np.arange(start, min(start + batch_size, len(dataset))))
-        cache = _window_forward(model, w, None)
-        slots = _predicted_slots(np.exp(cache["log_probs"]), np.exp(cache["log_null"]), w)
-        hits += int(np.count_nonzero(slots == w.gold_slots))
-    return hits / len(dataset)
 
 
 def _apply_update(model: RankerModel, grads: dict[str, np.ndarray], lr: float, count: int) -> None:
@@ -651,30 +630,25 @@ def _apply_update(model: RankerModel, grads: dict[str, np.ndarray], lr: float, c
 
 
 def train(
-    model: RankerModel,
-    dataset: Sequence[RankingExample],
-    eval_dataset: Sequence[RankingExample] | None = None,
+    model: RankerModel, dataset: Sequence[RankingExample]
 ) -> tuple[RankerModel, list[EpochStats]]:
-    """SGD over shuffled examples. Updates are applied every
-    gradient_accumulation_steps batches using the mean gradient of the
-    accumulated examples; a trailing partial accumulation at the end of an
-    epoch still triggers an update. The examples of one update run as one
-    packed window. The model is modified in place."""
+    """SGD over shuffled examples: each window of batch_size examples (the
+    last one of an epoch may be shorter) runs as one packed pass and applies
+    the mean gradient of its examples. The model is modified in place."""
     cfg = model.config
     if not dataset:
         raise ValueError("training dataset is empty")
     packed = _pack_candidates(model, dataset)
-    eval_packed = _pack_candidates(model, eval_dataset) if eval_dataset else None
 
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
     n = len(dataset)
-    window = cfg.batch_size * cfg.gradient_accumulation_steps
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, window):
-            idx = order[start : start + window]
+        hits = 0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
             w = _window(model, packed, dataset, idx)
             cache = _window_forward(model, w, _dropout_mask(model, rng, len(w.segment)))
             losses, grads = _window_backward(model, w, cache)
@@ -685,18 +659,10 @@ def train(
                     f"non-finite loss at epoch {epoch}, example {dataset[i].doc_id or i}"
                 )
             epoch_loss += float(np.sum(losses))
+            slots = _predicted_slots(cache["log_probs"], cache["log_null"], w)
+            hits += int(np.count_nonzero(slots == w.gold_slots))
             _apply_update(model, grads, cfg.learning_rate, len(idx))
-        stats = EpochStats(
-            epoch=epoch,
-            train_loss=epoch_loss / n,
-            train_accuracy=_dataset_accuracy(model, dataset, packed, cfg.batch_size),
-            eval_accuracy=(
-                _dataset_accuracy(model, eval_dataset, eval_packed, cfg.batch_size)
-                if eval_packed is not None
-                else None
-            ),
-        )
-        history.append(stats)
+        history.append(EpochStats(epoch=epoch, train_loss=epoch_loss / n, train_accuracy=hits / n))
     return model, history
 
 
@@ -737,7 +703,8 @@ def gradient_check(
 
 
 def save_model(model: RankerModel, path: str) -> None:
-    """Binary format: magic, version, length-prefixed JSON header, then the
+    """Binary format: magic, then little-endian u32 format version, header
+    length and zlib.crc32 of everything after the crc; a JSON header; then the
     parameter arrays as little-endian float64 in a fixed order."""
     header = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -749,57 +716,65 @@ def save_model(model: RankerModel, path: str) -> None:
         "params": [[name, list(model.params[name].shape)] for name in _PARAM_ORDER],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = b"".join(
+        np.ascontiguousarray(model.params[name], dtype="<f8").tobytes() for name in _PARAM_ORDER
+    )
+    crc = zlib.crc32(payload, zlib.crc32(header_bytes))
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
+        fh.write(struct.pack("<III", MODEL_FORMAT_VERSION, len(header_bytes), crc))
         fh.write(header_bytes)
-        for name in _PARAM_ORDER:
-            fh.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
+        fh.write(payload)
 
 
 def load_model(path: str) -> RankerModel:
+    """Read a model file written by :func:`save_model`. Raises
+    ModelVersionError for another format version and ModelCorruptError for
+    anything that does not check out: checksum, header, or parameters."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
-    prefix = len(MODEL_MAGIC) + 8
-    if len(blob) < prefix or blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
+    if len(blob) < len(MODEL_MAGIC) + 4 or blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ModelCorruptError(f"{path} is not a model file")
     (version,) = struct.unpack_from("<I", blob, len(MODEL_MAGIC))
     if version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"{path} has format version {version}, expected {MODEL_FORMAT_VERSION}"
         )
-    (header_len,) = struct.unpack_from("<I", blob, len(MODEL_MAGIC) + 4)
-    if len(blob) < prefix + header_len:
+    if len(blob) < _PREAMBLE_BYTES:
         raise ModelCorruptError(f"{path} is truncated")
+    header_len, crc = struct.unpack_from("<II", blob, len(MODEL_MAGIC) + 4)
+    if zlib.crc32(memoryview(blob)[_PREAMBLE_BYTES:]) != crc:
+        raise ModelCorruptError(f"{path} fails its checksum")
+    start = _PREAMBLE_BYTES + header_len
     try:
-        header = json.loads(blob[prefix : prefix + header_len].decode("utf-8"))
+        header = json.loads(blob[_PREAMBLE_BYTES:start].decode("utf-8"))
         config = RankerConfig(**header["config"])
-        manifest = [(str(name), tuple(int(s) for s in shape)) for name, shape in header["params"]]
+        manifest = [(str(name), tuple(shape)) for name, shape in header["params"]]
         countries = [str(c) for c in header["countries"]]
         feature_classes = [str(c) for c in header["feature_classes"]]
-        provider_dim = int(header["provider_dim"])
+        provider_dim = field_value(header, "provider_dim", "int")
         metadata = dict(header["metadata"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelCorruptError(f"{path} has an invalid header: {exc}") from exc
-    if [name for name, _ in manifest] != list(_PARAM_ORDER):
+    if provider_dim < 1:
+        raise ModelCorruptError(f"{path} has provider_dim {provider_dim}, expected >= 1")
+    shapes = _param_shapes(config, len(countries), len(feature_classes), provider_dim)
+    if manifest != list(shapes.items()):
         raise ModelCorruptError(f"{path} has an unexpected parameter manifest")
-    expected = sum(int(np.prod(shape)) for _, shape in manifest) * 8
-    payload = blob[prefix + header_len :]
-    if len(payload) != expected:
+    expected = 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(blob) - start != expected:
         raise ModelCorruptError(
-            f"{path} payload is {len(payload)} bytes, expected {expected}"
+            f"{path} payload is {len(blob) - start} bytes, expected {expected}"
         )
     params = {}
-    offset = 0
-    for name, shape in manifest:
-        size = int(np.prod(shape)) * 8
-        flat = np.frombuffer(payload[offset : offset + size], dtype="<f8")
-        params[name] = flat.reshape(shape).astype(np.float64)
-        offset += size
+    offset = start
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        params[name] = np.frombuffer(blob, "<f8", count, offset).reshape(shape).astype(np.float64)
+        offset += 8 * count
     try:
         return RankerModel(
             config=config,

@@ -461,21 +461,22 @@ def example_backward(model, cache, gold_slot, gold_country):
 
 def train_per_example(model, dataset):
     """The ranker's SGD loop one example at a time: gradients summed example
-    by example, an update every gradient_accumulation_steps batches and at
-    the end of an epoch. Modifies the model in place and returns the mean
-    loss of each epoch."""
+    by example and an update after every batch, the short last one of an
+    epoch included. Modifies the model in place and returns the mean loss of
+    each epoch and the share of its examples whose argmax slot, under dropout
+    and before their update, was gold."""
     cfg = model.config
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
-    epoch_losses = []
+    epoch_losses, epoch_accuracies = [], []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-        pending = 0
-        batches_since_step = 0
+        hits = 0
         for start in range(0, n, cfg.batch_size):
-            for idx in order[start : start + cfg.batch_size]:
+            batch = order[start : start + cfg.batch_size]
+            grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+            for idx in batch:
                 ex = dataset[idx]
                 cache = example_forward(model, ex.features, ex.context, training=True, rng=rng)
                 loss, g = example_backward(model, cache, ex.gold_slot, ex.gold_country)
@@ -484,16 +485,10 @@ def train_per_example(model, dataset):
                         f"non-finite loss at epoch {epoch}, example {ex.doc_id or int(idx)}"
                     )
                 epoch_loss += loss
+                hits += int(np.argmax(cache["probs"])) == ex.gold_slot
                 for name in _PARAM_ORDER:
                     grads[name] += g[name]
-                pending += 1
-            batches_since_step += 1
-            if batches_since_step >= cfg.gradient_accumulation_steps:
-                _apply_update(model, grads, cfg.learning_rate, pending)
-                grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-                pending = 0
-                batches_since_step = 0
-        if pending:
-            _apply_update(model, grads, cfg.learning_rate, pending)
+            _apply_update(model, grads, cfg.learning_rate, len(batch))
         epoch_losses.append(epoch_loss / n)
-    return epoch_losses
+        epoch_accuracies.append(hits / n)
+    return epoch_losses, epoch_accuracies

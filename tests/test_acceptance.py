@@ -356,7 +356,7 @@ def test_criterion_08_pipeline_is_deterministic(world, tmp_path_factory):
 # and states the old and new digests in CHANGES.md.
 GOLDEN_DIGESTS = {
     "index": "417a63b710313b56b64b1e53364ac5f20ba028a6d9d1b572d9830ef1d01b085c",
-    "model": "c37d0432a30d030188c869980492b3fd1f7ea525e4a684a1ac72ae7e7a25e7f1",
+    "model": "9734765d04dea768e5ef3d2faa86ac2445a09703ef86cf5eee59a476b6a3ec6d",
     "records": "9d4ede51009e772dd348f2cadf402ff6a66bf7e0bbfdacae4b797ad9dee3aee4",
     "report": "51b8f967b8538ec05dfe7b21d3f62142d286683808b068bfb59691ea7f1ced22",
 }

@@ -382,9 +382,8 @@ class TestConfigFile:
             "gazetteer_path", "index_path", "model_path", "corpus_path", "records_path",
             "out_path", "name", "output_format", "classes", "k", "n", "seed", "provider_dim",
             "impossible_fraction", "epochs", "batch_size", "dropout", "learning_rate",
-            "embedding_dim", "hidden_dim", "gradient_accumulation_steps",
-            "multitask_country_weight", "score_mode", "use_population_feature", "eval_k",
-            "extract", "locate_events",
+            "embedding_dim", "hidden_dim", "multitask_country_weight", "score_mode",
+            "use_population_feature", "eval_k", "extract", "locate_events",
         }
 
     @pytest.mark.parametrize(

@@ -5,18 +5,21 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import damage_bytes
 from oracles import example_backward, example_forward, train_per_example
 from placelink.features import CandidateFeatures, ContextVectors
 from placelink.ranker import (
     MODEL_MAGIC,
     ModelCorruptError,
     ModelDimensionError,
+    ModelFileError,
     ModelVersionError,
     RankerConfig,
     RankerModel,
@@ -129,13 +132,24 @@ class TestRankerConfig:
             {"learning_rate": -0.1},
             {"embedding_dim": 0},
             {"hidden_dim": 0},
-            {"gradient_accumulation_steps": 0},
+            {"learning_rate": float("nan")},
             {"multitask_country_weight": -1.0},
             {"score_mode": "softmax"},
+            {"learning_rate": float("inf")},
+            {"multitask_country_weight": float("nan")},
+            {"multitask_country_weight": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
+            RankerConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"batch_size": 1.5}, {"epochs": True}, {"seed": 2.0}, {"use_population_feature": 1}],
+    )
+    def test_rejects_wrong_types(self, kwargs):
+        with pytest.raises(TypeError):
             RankerConfig(**kwargs)
 
     def test_zero_learning_rate_allowed(self):
@@ -185,10 +199,6 @@ class TestModelInitialize:
             assert np.array_equal(a.params[name], b.params[name])
         assert not np.array_equal(a.params["hidden_w"], c.params["hidden_w"])
 
-    def test_parameter_count(self):
-        model = tiny_model(dim=16, e=4, h=5)
-        assert model.parameter_count() == 3 * 4 + 3 * 4 + 4 * 16 + 5 * 14 + 5 + 5 + 1 + 1
-
     def test_bad_provider_dim(self):
         with pytest.raises(ValueError):
             RankerModel.initialize(["FR"], ["P"], provider_dim=0, config=RankerConfig())
@@ -202,7 +212,6 @@ class TestScoring:
         ctx = random_context(16, np.random.default_rng(0))
         scored = score_candidates(model, [feat()], ctx)
         assert scored.probabilities == pytest.approx([0.5, 0.5])
-        assert scored.raw_scores == pytest.approx([0.5])
         assert scored.predicted_slot == 0  # tie goes to the lowest slot
 
     def test_probabilities_normalized(self):
@@ -213,10 +222,9 @@ class TestScoring:
             feats = [feat(pop_log=float(rng.uniform(0, 7))) for _ in range(n)]
             scored = score_candidates(model, feats, random_context(16, rng))
             assert abs(float(np.sum(scored.probabilities)) - 1.0) < 1e-9
-            assert np.all(scored.probabilities >= 0)
+            assert np.all((scored.probabilities >= 0) & (scored.probabilities <= 1))
             assert len(scored.probabilities) == n + 1
-            assert len(scored.raw_scores) == n
-            assert np.all((scored.raw_scores >= 0) & (scored.raw_scores <= 1))
+            assert scored.null_slot == n
             assert scored.predicted_slot == int(np.argmax(scored.probabilities))
 
     def test_duplicate_rows_score_identically(self):
@@ -224,7 +232,6 @@ class TestScoring:
         ctx = random_context(16, np.random.default_rng(3))
         row = feat(exact=1, country="US")
         scored = score_candidates(model, [row, feat(), row], ctx)
-        assert scored.raw_scores[0] == scored.raw_scores[2]
         assert scored.probabilities[0] == scored.probabilities[2]
 
     def test_permutation_equivariance(self):
@@ -258,7 +265,7 @@ class TestScoring:
         ctx = random_context(16, np.random.default_rng(7))
         a = score_candidates(model, [feat(country="ZZ", fclass="X")], ctx)
         b = score_candidates(model, [feat(country="QQ", fclass="Y")], ctx)
-        assert a.raw_scores[0] == b.raw_scores[0]
+        assert np.array_equal(a.probabilities, b.probabilities)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
@@ -295,13 +302,6 @@ class TestScoring:
         model = tiny_model(score_mode="logit")
         scored = score_candidates(model, [feat(), feat(exact=1)], random_context(16, np.random.default_rng(9)))
         assert float(np.sum(scored.probabilities)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_training_mode_without_rng_is_deterministic(self):
-        model = tiny_model(dropout=0.3)
-        ctx = random_context(16, np.random.default_rng(10))
-        a = score_candidates(model, [feat()], ctx, training_mode=True)
-        b = score_candidates(model, [feat()], ctx, training_mode=True)
-        assert np.array_equal(a.probabilities, b.probabilities)
 
 
 class TestPackedKernel:
@@ -449,7 +449,9 @@ class TestTraining:
         data = separable_dataset(50)
         model, history = train(tiny_model(dim=16, e=8, h=16), data)
         assert len(history) == 15
-        assert history[-1].train_accuracy == 1.0
+        # history reads dropout-time accuracy, so score again without dropout
+        slots = [score_candidates(model, ex.features, ex.context).predicted_slot for ex in data]
+        assert slots == [ex.gold_slot for ex in data]
 
     def test_loss_non_increasing_after_warmup(self):
         data = separable_dataset(50)
@@ -459,18 +461,11 @@ class TestTraining:
             assert cur <= prev + 1e-9
 
     def test_history_bookkeeping(self):
-        data = separable_dataset(20)
-        holdout = separable_dataset(10, seed=9)
-        _, history = train(tiny_model(epochs=3), data, eval_dataset=holdout)
+        _, history = train(tiny_model(epochs=3), separable_dataset(20))
         assert [s.epoch for s in history] == [1, 2, 3]
         for s in history:
             assert np.isfinite(s.train_loss) and s.train_loss > 0
             assert 0.0 <= s.train_accuracy <= 1.0
-            assert s.eval_accuracy is not None and 0.0 <= s.eval_accuracy <= 1.0
-
-    def test_no_eval_dataset_leaves_field_unset(self):
-        _, history = train(tiny_model(epochs=1), separable_dataset(5))
-        assert history[0].eval_accuracy is None
 
     def test_returns_the_same_object(self):
         model = tiny_model(epochs=1)
@@ -489,28 +484,16 @@ class TestTraining:
         with pytest.raises(ModelDimensionError):
             train(tiny_model(dim=16), bad)
 
-    def test_gradient_accumulation_equivalence(self):
-        # (batch 2, accumulate 3) must apply the same mean updates as batch 6
-        data = separable_dataset(12)
-        small, _ = train(
-            tiny_model(seed=3, epochs=3, batch_size=2, gradient_accumulation_steps=3), data
-        )
-        large, _ = train(
-            tiny_model(seed=3, epochs=3, batch_size=6, gradient_accumulation_steps=1), data
-        )
-        for name in small.params:
-            assert np.array_equal(small.params[name], large.params[name]), name
-
-    def test_trailing_partial_accumulation_still_updates(self):
+    def test_trailing_partial_batch_still_updates(self):
+        # 5 examples in batches of 2: the last window of each epoch holds one
         data = separable_dataset(5)
-        grouped, _ = train(
-            tiny_model(seed=4, epochs=2, batch_size=2, gradient_accumulation_steps=2), data
-        )
-        plain, _ = train(
-            tiny_model(seed=4, epochs=2, batch_size=4, gradient_accumulation_steps=1), data
-        )
-        for name in grouped.params:
-            assert np.array_equal(grouped.params[name], plain.params[name]), name
+        packed, _ = train(tiny_model(seed=4, epochs=2, batch_size=2), data)
+        oracle = tiny_model(seed=4, epochs=2, batch_size=2)
+        train_per_example(oracle, data)
+        for name in packed.params:
+            np.testing.assert_allclose(
+                packed.params[name], oracle.params[name], rtol=0, atol=1e-12, err_msg=name
+            )
 
     def test_dropout_training_matches_per_example_loop(self):
         data = [
@@ -526,18 +509,18 @@ class TestTraining:
             seed=7,
             epochs=2,
             dropout=0.3,
-            batch_size=4,
-            gradient_accumulation_steps=2,
+            batch_size=8,
             multitask_country_weight=0.3,
         )
         packed, history = train(tiny_model(**settings_), data)
         oracle = tiny_model(**settings_)
-        oracle_losses = train_per_example(oracle, data)
+        oracle_losses, oracle_accuracies = train_per_example(oracle, data)
         for name in packed.params:
             np.testing.assert_allclose(
                 packed.params[name], oracle.params[name], rtol=0, atol=1e-12, err_msg=name
             )
         assert [s.train_loss for s in history] == pytest.approx(oracle_losses, rel=0, abs=1e-12)
+        assert [s.train_accuracy for s in history] == oracle_accuracies
 
     def test_multitask_head_changes_training(self):
         rng = np.random.default_rng(11)
@@ -680,9 +663,10 @@ class TestModelFile:
     @staticmethod
     def rewrite(path, edit_header=None, edit_payload=None):
         """Rewrite a model file with its JSON header and/or its parameter
-        payload edited in place, keeping the file well-formed otherwise."""
+        payload edited in place, keeping the file well-formed otherwise: the
+        header length and checksum are recomputed."""
         blob = open(path, "rb").read()
-        prefix = len(MODEL_MAGIC) + 8
+        prefix = len(MODEL_MAGIC) + 12
         (header_len,) = struct.unpack_from("<I", blob, len(MODEL_MAGIC) + 4)
         header = json.loads(blob[prefix : prefix + header_len])
         payload = bytearray(blob[prefix + header_len :])
@@ -691,11 +675,11 @@ class TestModelFile:
         if edit_payload is not None:
             edit_payload(payload)
         header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        body = header_bytes + bytes(payload)
         with open(path, "wb") as fh:
             fh.write(blob[: len(MODEL_MAGIC) + 4])
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(bytes(payload))
+            fh.write(struct.pack("<II", len(header_bytes), zlib.crc32(body)))
+            fh.write(body)
 
     @pytest.mark.parametrize(
         "edit",
@@ -725,6 +709,39 @@ class TestModelFile:
         with pytest.raises(ModelCorruptError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("learning_rate", float("nan")),
+            ("multitask_country_weight", float("inf")),
+            ("batch_size", 1.5),
+            ("epochs", True),
+        ],
+    )
+    def test_header_config_value_refused(self, tmp_path, key, value):
+        _, path = self.make_trained(tmp_path)
+        self.rewrite(path, edit_header=lambda h: h["config"].__setitem__(key, value))
+        with pytest.raises(ModelCorruptError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # json.loads reads both Infinity and 1e400 as float("inf")
+            lambda h: h.__setitem__("provider_dim", float("inf")),
+            lambda h: h.__setitem__("provider_dim", -float("inf")),
+            lambda h: h.__setitem__("provider_dim", 16.5),
+            lambda h: h["params"][2][1].__setitem__(1, float("inf")),
+            lambda h: h["params"][0][1].__setitem__(0, 10**30),
+        ],
+        ids=["provider_dim-inf", "provider_dim-neg-inf", "provider_dim-float", "dim-inf", "dim-huge"],
+    )
+    def test_header_dimension_out_of_range(self, tmp_path, edit):
+        _, path = self.make_trained(tmp_path)
+        self.rewrite(path, edit_header=edit)
+        with pytest.raises(ModelCorruptError):
+            load_model(path)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("offset", [0, -8], ids=["first", "last"])
     def test_non_finite_parameter(self, tmp_path, value, offset):
@@ -744,3 +761,55 @@ class TestModelFile:
         open(path, "wb").write(bytes(data))
         with pytest.raises(ModelVersionError):
             load_model(path)
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    model, _ = train(tiny_model(epochs=2, seed=21), separable_dataset(10))
+    model.metadata["provider_seed"] = 7
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    save_model(model, str(path))
+    return model, path.read_bytes()
+
+
+def _same_model(a: RankerModel, b: RankerModel) -> bool:
+    return (
+        (a.config, a.provider_dim, a.countries, a.feature_classes, a.metadata)
+        == (b.config, b.provider_dim, b.countries, b.feature_classes, b.metadata)
+        and a.params.keys() == b.params.keys()
+        and all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flipped_or_truncated_model_loads_equal_or_raises(tmp_path_factory, saved_model, data):
+    model, blob = saved_model
+    path = tmp_path_factory.mktemp("flip") / "model.bin"
+    path.write_bytes(damage_bytes(data, blob))
+    try:
+        loaded = load_model(str(path))
+    except ModelFileError:
+        return
+    assert _same_model(loaded, model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damage_behind_a_valid_checksum_raises_only_model_errors(
+    tmp_path_factory, saved_model, data
+):
+    """With the checksum recomputed, damage reaches the header parser and the
+    parameter checks: the file loads to a model or raises a ModelFileError
+    subclass, never a bare exception."""
+    _, blob = saved_model
+    start = len(MODEL_MAGIC) + 12
+    damaged = bytearray(blob[:start] + damage_bytes(data, blob[start:]))
+    struct.pack_into("<I", damaged, len(MODEL_MAGIC) + 8, zlib.crc32(damaged[start:]))
+    path = tmp_path_factory.mktemp("flip") / "model.bin"
+    path.write_bytes(bytes(damaged))
+    try:
+        loaded = load_model(str(path))
+    except ModelFileError:
+        return
+    assert isinstance(loaded, RankerModel)
