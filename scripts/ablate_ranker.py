@@ -2,8 +2,7 @@
 """Ranker ablations on one synthetic world.
 
 Trains several configurations on the same corpus and prints a comparison
-table: scoring mode, the population feature and multitask country
-supervision.
+table: scoring mode and multitask country supervision.
 """
 
 import argparse
@@ -22,14 +21,6 @@ VARIANTS = [
     ("sigmoid scores", {}),
     ("logit scores", {"score_mode": "logit"}),
     ("logit + multitask 0.3", {"score_mode": "logit", "multitask_country_weight": 0.3}),
-    (
-        "logit + multitask, no population",
-        {
-            "score_mode": "logit",
-            "multitask_country_weight": 0.3,
-            "use_population_feature": False,
-        },
-    ),
 ]
 
 

@@ -11,7 +11,7 @@ from placelink.evaluation import MetricsReport, evaluate, haversine_km, query_re
 from placelink.features import (
     CandidateFeatures,
     ContextVectors,
-    EmbeddingProvider,
+    HashedBowProvider,
     hashed_bow_provider,
 )
 from placelink.gazetteer import (
@@ -59,9 +59,9 @@ __all__ = [
     "CandidateSet",
     "ContextVectors",
     "CorpusDocument",
-    "EmbeddingProvider",
     "GazetteerEntry",
     "GazetteerIndex",
+    "HashedBowProvider",
     "IndexConfig",
     "MetricsReport",
     "RankerConfig",

@@ -38,7 +38,7 @@ def config_keys(parser: argparse.ArgumentParser) -> set[str]:
 
 
 def _config_value(action: argparse.Action, raw: str):
-    if action.nargs == 0:  # a switch: store_true or --x/--no-x
+    if action.nargs == 0:  # a store_true switch
         lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
@@ -306,11 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         if f.name == "seed":
             continue
         flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=f.default)
-        else:
-            kind, choices = type(f.default), f.metadata.get("choices")
-            p.add_argument(flag, type=kind, default=f.default, choices=choices)
+        p.add_argument(flag, type=type(f.default), default=f.default, choices=f.metadata.get("choices"))
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("parse", help="resolve every toponym in a corpus")

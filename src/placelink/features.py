@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -132,18 +132,6 @@ class ContextVectors:
     @property
     def dimension(self) -> int:
         return self.mention_vector.shape[0]
-
-
-class EmbeddingProvider(Protocol):
-    """Source of context vectors; deterministic for fixed input, fixed
-    output dimension. The default is a hashed bag of words; transformer
-    embeddings can be mounted behind the same interface."""
-
-    dimension: int
-
-    def embed_span(self, text: str, span: tuple[int, int]) -> np.ndarray: ...
-
-    def embed_document(self, text: str) -> np.ndarray: ...
 
 
 class HashedBowProvider:

@@ -17,26 +17,28 @@ built and safe for concurrent queries.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 import operator
-import struct
-import zlib
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, pairwise
 from typing import Sequence
 
 import numpy as np
 
+from placelink import artifact
 from placelink.features import bounded_edit_distance
 from placelink.gazetteer import GazetteerEntry, normalize_name
 
 INDEX_MAGIC = b"PLGAZIDX"
-INDEX_FORMAT_VERSION = 2
-# magic, then u32 version, header length and crc32
-_PREAMBLE_BYTES = len(INDEX_MAGIC) + 12
+INDEX_FORMAT_VERSION = 3
+
+# The retrieval rule: a fuzzy candidate shares at least MIN_SHARED_NGRAMS
+# distinct NGRAM_SIZE-grams with the query and lies within MAX_EDIT_DISTANCE
+# of one of its name variants.
+NGRAM_SIZE = 3
+MIN_SHARED_NGRAMS = 2
+MAX_EDIT_DISTANCE = 2
 
 _CODE_COLUMNS = ("feature_class", "feature_code", "country_code", "admin1_code", "admin2_code")
 # every array of an index, with its little-endian dtype, in file order
@@ -62,8 +64,8 @@ _ARRAYS = {
 }
 
 # Scalar retrieval score packs the (exact, -edit distance, log population)
-# ordering tuple: the population term stays < 1e3 and edit distances < 1e3,
-# so each component dominates the next.
+# ordering tuple: the population term stays < 1e3 and edit distances are at
+# most MAX_EDIT_DISTANCE, so each component dominates the next.
 _EXACT_WEIGHT = 1.0e6
 _DISTANCE_WEIGHT = 1.0e3
 
@@ -73,7 +75,11 @@ class IndexFileError(Exception):
 
 
 class IndexVersionError(IndexFileError):
-    """Raised when an index file was written by an incompatible format version."""
+    """Raised when an index file was written by an incompatible format
+    version; the message tells the user to rebuild it."""
+
+    def __init__(self, message: str):
+        super().__init__(f"{message}; rebuild it with build-index")
 
 
 class IndexCorruptError(IndexFileError):
@@ -82,20 +88,11 @@ class IndexCorruptError(IndexFileError):
 
 @dataclass(frozen=True)
 class IndexConfig:
-    ngram_size: int = 3
     max_candidates: int = 50
-    max_edit_distance: int = 2
-    fuzzy_min_shared_ngrams: int = 2
 
     def __post_init__(self) -> None:
-        if self.ngram_size < 2:
-            raise ValueError(f"ngram_size must be >= 2, got {self.ngram_size}")
-        if self.max_candidates < 1:
+        if not self.max_candidates >= 1:
             raise ValueError(f"max_candidates must be >= 1, got {self.max_candidates}")
-        if self.max_edit_distance < 0:
-            raise ValueError("max_edit_distance must be non-negative")
-        if self.fuzzy_min_shared_ngrams < 1:
-            raise ValueError("fuzzy_min_shared_ngrams must be >= 1")
 
 
 @dataclass
@@ -159,8 +156,8 @@ class GazetteerIndex:
         # distinct normalized name variants and n-grams, each sorted
         self.variants = _sorted_strings(arrays, "variant")
         self.grams = _sorted_strings(arrays, "gram")
-        if any(len(gram) != config.ngram_size for gram in self.grams):
-            raise ValueError(f"n-grams are not all {config.ngram_size} characters long")
+        if any(len(gram) != NGRAM_SIZE for gram in self.grams):
+            raise ValueError(f"n-grams are not all {NGRAM_SIZE} characters long")
         self._gram_slot = dict(zip(self.grams, range(len(self.grams))))
         self._posting_offsets = arrays["posting_offsets"].tolist()
         self._entry_variants = arrays["entry_variants"].tolist()
@@ -191,12 +188,12 @@ class GazetteerIndex:
         return tuple(self._variant_rows[offsets[i] : offsets[i + 1]].tolist())
 
     def fuzzy_rows(self, text: str) -> np.ndarray:
-        """Rows sharing at least ``fuzzy_min_shared_ngrams`` distinct n-grams
-        with text, ascending. A row occurs once in each posting list it is
-        on, so after a sort a run of equal rows is its shared count."""
-        need = self.config.fuzzy_min_shared_ngrams
+        """Rows sharing at least MIN_SHARED_NGRAMS distinct n-grams with
+        text, ascending. A row occurs once in each posting list it is on, so
+        after a sort a run of equal rows is its shared count."""
+        need = MIN_SHARED_NGRAMS
         slot_of, offsets = self._gram_slot, self._posting_offsets
-        slots = [slot_of[g] for g in set(char_ngrams(text, self.config.ngram_size)) if g in slot_of]
+        slots = [slot_of[g] for g in set(char_ngrams(text, NGRAM_SIZE)) if g in slot_of]
         if len(slots) < need:
             return _NO_ROWS
         postings = self.arrays["postings"]
@@ -297,7 +294,7 @@ def build_index(entries: Sequence[GazetteerEntry], config: IndexConfig | None = 
         entry_variants.append(len(pairs))
         grams: set[str] = set()
         for name in own:
-            grams.update(char_ngrams(name, config.ngram_size))
+            grams.update(char_ngrams(name, NGRAM_SIZE))
         for gram in grams:
             rows = postings.get(gram)
             if rows is None:
@@ -435,13 +432,12 @@ def query(index: GazetteerIndex, name: str, k: int | None = None) -> CandidateSe
     """Retrieve the top-k candidate entries for a place name.
 
     Exact matches on any indexed variant come first; fuzzy candidates must
-    share at least ``fuzzy_min_shared_ngrams`` trigrams with the query and lie
-    within ``max_edit_distance`` of some variant. An empty query yields an
-    empty candidate set; k must be positive.
+    share at least MIN_SHARED_NGRAMS trigrams with the query and lie within
+    MAX_EDIT_DISTANCE of some variant. An empty query yields an empty
+    candidate set; k must be positive.
     """
-    config = index.config
     if k is None:
-        k = config.max_candidates
+        k = index.config.max_candidates
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     normalized = normalize_name(name)
@@ -454,7 +450,7 @@ def query(index: GazetteerIndex, name: str, k: int | None = None) -> CandidateSe
     # (score, geoname id, row)
     scored = [(retrieval_score(True, 0, int(population[row])), int(ids[row]), row) for row in exact_rows]
     exact = set(exact_rows)
-    bound = config.max_edit_distance
+    bound = MAX_EDIT_DISTANCE
     length = len(normalized)
     variants, variant_ids, bounds = index.variants, index._variant_ids, index._entry_variants
     for row in index.fuzzy_rows(normalized).tolist():
@@ -484,35 +480,12 @@ def query(index: GazetteerIndex, name: str, k: int | None = None) -> CandidateSe
 
 
 def save_index(index: GazetteerIndex, path: str) -> None:
-    """Write the index to one versioned, byte-deterministic file.
-
-    Layout: magic, then little-endian u32 format version, header length and
-    zlib.crc32 of everything after the crc; a JSON header (the build config,
-    and each array's dtype, byte offset from the end of the header and
-    length), padded with spaces to 8 bytes; then the arrays in ``_ARRAYS``
-    order, each zero-padded to 8 bytes.
-    """
-    chunks = []
-    specs = {}
-    offset = 0
-    for name, dtype in _ARRAYS.items():
-        data = np.ascontiguousarray(index.arrays[name], dtype=dtype).tobytes()
-        specs[name] = {"dtype": dtype, "offset": offset, "length": len(data) // np.dtype(dtype).itemsize}
-        data += bytes(-len(data) % 8)
-        chunks.append(data)
-        offset += len(data)
-    header = json.dumps({"config": dataclasses.asdict(index.config), "arrays": specs}, sort_keys=True)
-    head = header.encode("utf-8")
-    head += b" " * (-(_PREAMBLE_BYTES + len(head)) % 8)
-    crc = zlib.crc32(head)
-    for data in chunks:
-        crc = zlib.crc32(data, crc)
-    with open(path, "wb") as handle:
-        handle.write(INDEX_MAGIC)
-        handle.write(struct.pack("<III", INDEX_FORMAT_VERSION, len(head), crc))
-        handle.write(head)
-        for data in chunks:
-            handle.write(data)
+    """Write the index to one versioned, byte-deterministic file in the
+    :mod:`placelink.artifact` container: the build config in the header, then
+    the arrays of ``_ARRAYS``."""
+    fields = {"config": asdict(index.config)}
+    arrays = {name: np.asarray(index.arrays[name], dtype) for name, dtype in _ARRAYS.items()}
+    artifact.write(path, INDEX_MAGIC, INDEX_FORMAT_VERSION, fields, arrays)
 
 
 def load_index(path: str) -> GazetteerIndex:
@@ -523,52 +496,12 @@ def load_index(path: str) -> GazetteerIndex:
     with ``build-index``) and IndexCorruptError for anything that does not
     check out: checksum, layout, or a column the validator refuses.
     """
+    errors = (IndexFileError, IndexVersionError, IndexCorruptError)
+    fields, arrays = artifact.read(path, INDEX_MAGIC, INDEX_FORMAT_VERSION, _ARRAYS, errors)
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise IndexFileError(f"cannot read index file {path!r}: {exc}") from exc
-    if len(data) < len(INDEX_MAGIC) + 4:
-        raise IndexCorruptError(f"index file {path!r} is truncated")
-    if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
-        raise IndexCorruptError(f"{path!r} is not a gazetteer index file")
-    (version,) = struct.unpack_from("<I", data, len(INDEX_MAGIC))
-    if version != INDEX_FORMAT_VERSION:
-        raise IndexVersionError(
-            f"index file {path!r} has format version {version}, "
-            f"this build reads version {INDEX_FORMAT_VERSION}; rebuild it with build-index"
-        )
-    if len(data) < _PREAMBLE_BYTES:
-        raise IndexCorruptError(f"index file {path!r} is truncated")
-    header_len, crc = struct.unpack_from("<II", data, len(INDEX_MAGIC) + 4)
-    if zlib.crc32(memoryview(data)[_PREAMBLE_BYTES:]) != crc:
-        raise IndexCorruptError(f"index file {path!r} fails its checksum")
-    try:
-        header = json.loads(data[_PREAMBLE_BYTES : _PREAMBLE_BYTES + header_len].decode("utf-8"))
-        config = header["config"]
+        config = fields["config"]
         if not all(type(value) is int for value in config.values()):
             raise ValueError("config values must be integers")
-        config = IndexConfig(**config)
-        start = _PREAMBLE_BYTES + header_len
-        if start % 8:
-            raise ValueError("header is not padded to 8 bytes")
-        specs = header["arrays"]
-        if set(specs) != set(_ARRAYS):
-            raise ValueError("array table does not list the expected arrays")
-        arrays = {}
-        end = start
-        for name, dtype in _ARRAYS.items():
-            spec = specs[name]
-            offset, length = spec["offset"], spec["length"]
-            if spec["dtype"] != dtype or type(offset) is not int or type(length) is not int:
-                raise ValueError(f"array {name} is misdescribed")
-            size = length * np.dtype(dtype).itemsize
-            if offset != end - start or length < 0:
-                raise ValueError(f"array {name} is out of place")
-            arrays[name] = np.frombuffer(data, dtype=dtype, count=length, offset=end)
-            end += size + (-size % 8)
-        if end != len(data):
-            raise ValueError(f"payload holds {len(data)} bytes, the arrays {end}")
-        return GazetteerIndex(config, arrays)
+        return GazetteerIndex(IndexConfig(**config), arrays)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise IndexCorruptError(f"index file {path!r} is corrupt: {exc}") from exc
+        raise IndexCorruptError(f"{path!r} is corrupt: {exc}") from exc

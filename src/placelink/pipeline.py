@@ -19,7 +19,7 @@ import numpy as np
 from placelink.corpus import Annotation, CorpusDocument, field_value, read_jsonl
 from placelink.features import (
     ContextVectors,
-    EmbeddingProvider,
+    HashedBowProvider,
     candidate_features,
     summarize_candidates,
 )
@@ -131,7 +131,7 @@ def _document_window(text: str, span: Annotation, window_chars: int) -> str:
 
 
 def _context_vectors(
-    provider: EmbeddingProvider,
+    provider: HashedBowProvider,
     text: str,
     spans: Sequence[Annotation],
     mention_vecs: Sequence[np.ndarray],
@@ -155,7 +155,7 @@ def _context_vectors(
     )
 
 
-def _check_dimensions(model: RankerModel, provider: EmbeddingProvider) -> None:
+def _check_dimensions(model: RankerModel, provider: HashedBowProvider) -> None:
     if provider.dimension != model.provider_dim:
         raise ModelDimensionError(
             f"provider dimension {provider.dimension} != model provider_dim {model.provider_dim}"
@@ -165,7 +165,7 @@ def _check_dimensions(model: RankerModel, provider: EmbeddingProvider) -> None:
 def _document_rows(
     doc: CorpusDocument,
     index: GazetteerIndex,
-    provider: EmbeddingProvider,
+    provider: HashedBowProvider,
     admin_tables: AdminTables,
     k: int | None,
     window_chars: int,
@@ -230,7 +230,7 @@ def resolve_document(
     doc: CorpusDocument,
     index: GazetteerIndex,
     model: RankerModel,
-    provider: EmbeddingProvider,
+    provider: HashedBowProvider,
     admin_tables: AdminTables,
     k: int | None = None,
     window_chars: int = DEFAULT_WINDOW_CHARS,
@@ -251,7 +251,7 @@ def resolve_corpus(
     docs: Sequence[CorpusDocument],
     index: GazetteerIndex,
     model: RankerModel,
-    provider: EmbeddingProvider,
+    provider: HashedBowProvider,
     admin_tables: AdminTables,
     k: int | None = None,
     window_chars: int = DEFAULT_WINDOW_CHARS,
@@ -266,7 +266,7 @@ def resolve_corpus(
 def assemble_examples(
     docs: Iterable[CorpusDocument],
     index: GazetteerIndex,
-    provider: EmbeddingProvider,
+    provider: HashedBowProvider,
     admin_tables: AdminTables,
     k: int | None = None,
     window_chars: int = DEFAULT_WINDOW_CHARS,

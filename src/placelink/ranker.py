@@ -27,22 +27,17 @@ example.
 
 from __future__ import annotations
 
-import json
-import math
-import struct
-import zlib
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
+from placelink import artifact
 from placelink.corpus import field_value
 from placelink.features import CandidateFeatures, ContextVectors
 
 MODEL_MAGIC = b"PLRANKER"
-MODEL_FORMAT_VERSION = 2
-# magic, then u32 version, header length and crc32
-_PREAMBLE_BYTES = len(MODEL_MAGIC) + 12
+MODEL_FORMAT_VERSION = 3
 
 OOV_TOKEN = "<OOV>"
 
@@ -131,7 +126,6 @@ class RankerConfig:
     multitask_country_weight: float = 0.0
     seed: int = 0
     score_mode: str = field(default="sigmoid", metadata={"choices": SCORE_MODES})
-    use_population_feature: bool = True
 
     def __post_init__(self) -> None:
         # a bool or float where an int belongs, or a non-finite float, raises
@@ -283,7 +277,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _numeric_matrix(features: Sequence[CandidateFeatures], use_population: bool) -> np.ndarray:
+def _numeric_matrix(features: Sequence[CandidateFeatures]) -> np.ndarray:
     rows = np.empty((len(features), len(NUMERIC_FEATURE_NAMES)), dtype=np.float64)
     for start in range(0, len(features), _CONVERT_ROWS):
         rows[start : start + _CONVERT_ROWS] = [
@@ -292,7 +286,7 @@ def _numeric_matrix(features: Sequence[CandidateFeatures], use_population: bool)
                 f.avg_edit_distance,
                 float(f.exact_match_flag),
                 f.alt_name_count_log,
-                f.population_log * _POP_LOG_SCALE if use_population else 0.0,
+                f.population_log * _POP_LOG_SCALE,
                 float(f.is_adm1_of_other_toponym),
                 float(f.has_adm1_parent_in_doc),
                 f.shared_country_fraction,
@@ -330,7 +324,7 @@ def _pack_candidates(
     return _PackedCandidates(
         country_rows=np.array([model.country_row(f.candidate_country) for f in flat], np.intp),
         fclass_rows=np.array([model.fclass_row(f.candidate_feature_class) for f in flat], np.intp),
-        numeric=_numeric_matrix(flat, model.config.use_population_feature),
+        numeric=_numeric_matrix(flat),
         offsets=offsets,
     )
 
@@ -703,86 +697,50 @@ def gradient_check(
 
 
 def save_model(model: RankerModel, path: str) -> None:
-    """Binary format: magic, then little-endian u32 format version, header
-    length and zlib.crc32 of everything after the crc; a JSON header; then the
-    parameter arrays as little-endian float64 in a fixed order."""
-    header = {
-        "format_version": MODEL_FORMAT_VERSION,
+    """Write the model to one versioned, byte-deterministic file in the
+    :mod:`placelink.artifact` container: config, provider dimension,
+    vocabularies and metadata in the header, then the parameters as float64
+    arrays in ``_PARAM_ORDER``."""
+    fields = {
         "config": asdict(model.config),
         "provider_dim": model.provider_dim,
         "countries": model.countries,
         "feature_classes": model.feature_classes,
         "metadata": model.metadata,
-        "params": [[name, list(model.params[name].shape)] for name in _PARAM_ORDER],
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(
-        np.ascontiguousarray(model.params[name], dtype="<f8").tobytes() for name in _PARAM_ORDER
-    )
-    crc = zlib.crc32(payload, zlib.crc32(header_bytes))
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<III", MODEL_FORMAT_VERSION, len(header_bytes), crc))
-        fh.write(header_bytes)
-        fh.write(payload)
+    arrays = {name: np.asarray(model.params[name], np.float64) for name in _PARAM_ORDER}
+    artifact.write(path, MODEL_MAGIC, MODEL_FORMAT_VERSION, fields, arrays)
+
+
+def _vocabulary(fields: dict, key: str) -> list[str]:
+    values = fields[key]
+    if type(values) is not list or not all(type(value) is str for value in values):
+        raise TypeError(f"{key} must be a list of strings")
+    return values
 
 
 def load_model(path: str) -> RankerModel:
     """Read a model file written by :func:`save_model`. Raises
     ModelVersionError for another format version and ModelCorruptError for
-    anything that does not check out: checksum, header, or parameters."""
+    anything that does not check out: checksum, layout, header, or
+    parameters. The parameters are copied out of the file's bytes, because
+    training updates them in place."""
+    dtypes = dict.fromkeys(_PARAM_ORDER, "<f8")
+    errors = (ModelFileError, ModelVersionError, ModelCorruptError)
+    fields, arrays = artifact.read(path, MODEL_MAGIC, MODEL_FORMAT_VERSION, dtypes, errors)
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
-    if len(blob) < len(MODEL_MAGIC) + 4 or blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise ModelCorruptError(f"{path} is not a model file")
-    (version,) = struct.unpack_from("<I", blob, len(MODEL_MAGIC))
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
-            f"{path} has format version {version}, expected {MODEL_FORMAT_VERSION}"
-        )
-    if len(blob) < _PREAMBLE_BYTES:
-        raise ModelCorruptError(f"{path} is truncated")
-    header_len, crc = struct.unpack_from("<II", blob, len(MODEL_MAGIC) + 4)
-    if zlib.crc32(memoryview(blob)[_PREAMBLE_BYTES:]) != crc:
-        raise ModelCorruptError(f"{path} fails its checksum")
-    start = _PREAMBLE_BYTES + header_len
-    try:
-        header = json.loads(blob[_PREAMBLE_BYTES:start].decode("utf-8"))
-        config = RankerConfig(**header["config"])
-        manifest = [(str(name), tuple(shape)) for name, shape in header["params"]]
-        countries = [str(c) for c in header["countries"]]
-        feature_classes = [str(c) for c in header["feature_classes"]]
-        provider_dim = field_value(header, "provider_dim", "int")
-        metadata = dict(header["metadata"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelCorruptError(f"{path} has an invalid header: {exc}") from exc
-    if provider_dim < 1:
-        raise ModelCorruptError(f"{path} has provider_dim {provider_dim}, expected >= 1")
-    shapes = _param_shapes(config, len(countries), len(feature_classes), provider_dim)
-    if manifest != list(shapes.items()):
-        raise ModelCorruptError(f"{path} has an unexpected parameter manifest")
-    expected = 8 * sum(math.prod(shape) for shape in shapes.values())
-    if len(blob) - start != expected:
-        raise ModelCorruptError(
-            f"{path} payload is {len(blob) - start} bytes, expected {expected}"
-        )
-    params = {}
-    offset = start
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        params[name] = np.frombuffer(blob, "<f8", count, offset).reshape(shape).astype(np.float64)
-        offset += 8 * count
-    try:
+        config = RankerConfig(**fields["config"])
+        countries = _vocabulary(fields, "countries")
+        feature_classes = _vocabulary(fields, "feature_classes")
+        provider_dim = field_value(fields, "provider_dim", "int")
+        shapes = _param_shapes(config, len(countries), len(feature_classes), provider_dim)
         return RankerModel(
             config=config,
             provider_dim=provider_dim,
             countries=countries,
             feature_classes=feature_classes,
-            params=params,
-            metadata=metadata,
+            params={name: arrays[name].reshape(shape).astype(np.float64) for name, shape in shapes.items()},
+            metadata=dict(fields["metadata"]),
         )
-    except ValueError as exc:
-        raise ModelCorruptError(f"{path} does not describe a valid model: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelCorruptError(f"{path!r} does not describe a valid model: {exc}") from exc

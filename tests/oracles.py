@@ -18,7 +18,15 @@ import numpy as np
 
 from placelink.features import coherence_from_summaries, summarize_candidates
 from placelink.gazetteer import AdminTables, GazetteerEntry, normalize_name
-from placelink.index import CandidateSet, IndexConfig, char_ngrams, retrieval_score
+from placelink.index import (
+    MAX_EDIT_DISTANCE,
+    MIN_SHARED_NGRAMS,
+    NGRAM_SIZE,
+    CandidateSet,
+    IndexConfig,
+    char_ngrams,
+    retrieval_score,
+)
 from placelink.ranker import (
     _PARAM_ORDER,
     _POP_LOG_SCALE,
@@ -111,7 +119,7 @@ def build_dict_index(entries: list[GazetteerEntry], config: IndexConfig | None =
         entry_grams: set[str] = set()
         for name in names:
             exact.setdefault(name, set()).add(gid)
-            entry_grams.update(char_ngrams(name, config.ngram_size))
+            entry_grams.update(char_ngrams(name, NGRAM_SIZE))
         for gram in entry_grams:
             grams.setdefault(gram, set()).add(gid)
     index.exact_index = {name: sorted(ids) for name, ids in exact.items()}
@@ -122,20 +130,19 @@ def build_dict_index(entries: list[GazetteerEntry], config: IndexConfig | None =
 def dict_query(index: DictIndex, name: str, k: int | None = None) -> CandidateSet:
     """Retrieval over the dict index: a Counter of shared trigrams per id,
     then banded-DP verification of every survivor's variants."""
-    config = index.config
-    k = config.max_candidates if k is None else k
+    k = index.config.max_candidates if k is None else k
     normalized = normalize_name(name)
     if not normalized:
         return CandidateSet(query_text=name, normalized_query=normalized, candidates=[])
     exact_ids = set(index.exact_index.get(normalized, ()))
     shared: Counter[int] = Counter()
-    for gram in set(char_ngrams(normalized, config.ngram_size)):
+    for gram in set(char_ngrams(normalized, NGRAM_SIZE)):
         for gid in index.ngram_index.get(gram, ()):
             shared[gid] += 1
     scored = [(retrieval_score(True, 0, index.entry_store[gid].population), gid) for gid in exact_ids]
-    bound = config.max_edit_distance
+    bound = MAX_EDIT_DISTANCE
     for gid, count in shared.items():
-        if gid in exact_ids or count < config.fuzzy_min_shared_ngrams:
+        if gid in exact_ids or count < MIN_SHARED_NGRAMS:
             continue
         distances = [
             d
@@ -267,7 +274,7 @@ def log_softmax(q):
     return q - lse, lse
 
 
-def _numeric_matrix(features, use_population):
+def _numeric_matrix(features):
     rows = np.array(
         [
             (
@@ -275,7 +282,7 @@ def _numeric_matrix(features, use_population):
                 f.avg_edit_distance,
                 float(f.exact_match_flag),
                 f.alt_name_count_log,
-                f.population_log * _POP_LOG_SCALE if use_population else 0.0,
+                f.population_log * _POP_LOG_SCALE,
                 float(f.is_adm1_of_other_toponym),
                 float(f.has_adm1_parent_in_doc),
                 f.shared_country_fraction,
@@ -323,7 +330,7 @@ def example_forward(model, features, context, *, training, rng):
 
     ci = np.array([model.country_row(f.candidate_country) for f in features], dtype=np.intp)
     fi = np.array([model.fclass_row(f.candidate_feature_class) for f in features], dtype=np.intp)
-    u = _numeric_matrix(features, cfg.use_population_feature)
+    u = _numeric_matrix(features)
 
     proj = p["context_proj"]
     proj_vecs = {

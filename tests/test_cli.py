@@ -317,7 +317,6 @@ class TestTrain:
         for f in fields(RankerConfig):
             flag = "--" + f.name.replace("_", "-")
             assert flag in words, flag
-        assert "--no-use-population-feature" in words
 
 
 class TestConfigFile:
@@ -383,7 +382,7 @@ class TestConfigFile:
             "out_path", "name", "output_format", "classes", "k", "n", "seed", "provider_dim",
             "impossible_fraction", "epochs", "batch_size", "dropout", "learning_rate",
             "embedding_dim", "hidden_dim", "multitask_country_weight", "score_mode",
-            "use_population_feature", "eval_k", "extract", "locate_events",
+            "eval_k", "extract", "locate_events",
         }
 
     @pytest.mark.parametrize(
@@ -393,7 +392,7 @@ class TestConfigFile:
             ("query", "k = many", "'many'"),
             ("synth", "impossible_fraction = lots", "'lots'"),
             ("train", "score_mode = linear", "'linear'"),
-            ("train", "use_population_feature = maybe", "'maybe'"),
+            ("parse", "locate_events = maybe", "'maybe'"),
             ("parse", "extract = sometimes", "'sometimes'"),
         ],
     )
@@ -414,23 +413,23 @@ class TestConfigFile:
 
     def test_boolean_coercion(self, ws, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("use_population_feature = false\n", encoding="utf-8")
-        out = str(tmp_path / "nopop.bin")
+        cfg.write_text("extract = yes\n", encoding="utf-8")
+        corpus_path = str(tmp_path / "raw.jsonl")
+        save_corpus([CorpusDocument(doc_id="raw1", text="Protests in Paris today.")], corpus_path)
+        out = str(tmp_path / "raw_records.jsonl")
         rc = main(
             [
-                "train",
+                "parse",
                 "--config", str(cfg),
                 "--index", ws["index"],
-                "--corpus", ws["corpus"],
+                "--model", ws["model"],
+                "--corpus", corpus_path,
                 "--out", out,
-                "--epochs", "1",
-                "--provider-dim", "32",
-                "--embedding-dim", "8",
-                "--hidden-dim", "16",
             ]
         )
         assert rc == 0
-        assert load_model(out).config.use_population_feature is False
+        with open(out, "r", encoding="utf-8") as fh:
+            assert [json.loads(line)["query_text"] for line in fh] == ["Paris"]
 
 
 @pytest.mark.parametrize("world", ["mini", "toy"])

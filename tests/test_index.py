@@ -20,9 +20,12 @@ from hypothesis import strategies as st
 
 from conftest import damage_bytes, entry_store, make_entry
 from oracles import build_dict_index, dict_query, scan_candidates
+from placelink import artifact
 from placelink.gazetteer import normalize_name
 from placelink.index import (
+    _ARRAYS,
     INDEX_MAGIC,
+    MIN_SHARED_NGRAMS,
     CandidateSet,
     IndexConfig,
     IndexCorruptError,
@@ -70,10 +73,10 @@ class TestIndexConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"ngram_size": 1},
             {"max_candidates": 0},
-            {"max_edit_distance": -1},
-            {"fuzzy_min_shared_ngrams": 0},
+            {"max_candidates": -1},
+            {"max_candidates": -(10**9)},
+            {"max_candidates": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -203,7 +206,7 @@ def test_single_substitution_recall(mini_index, mini_entries, data):
     for variant in entry.name_variants():
         entry_grams.update(char_ngrams(variant, 3))
     shared = len(set(char_ngrams(normalize_name(mutated), 3)) & entry_grams)
-    if shared >= mini_index.config.fuzzy_min_shared_ngrams:
+    if shared >= MIN_SHARED_NGRAMS:
         assert entry.geoname_id in query(mini_index, mutated).ids()
 
 
@@ -371,15 +374,13 @@ class TestLoaderValidator:
             load_index(path)
 
     def test_ngram_size_below_two(self, tmp_path, mini_index):
-        path = tmp_path / "gaz.idx"
-        save_index(mini_index, str(path))
-        data = bytearray(path.read_bytes())
-        at = data.index(b'"ngram_size": 3')
-        data[at : at + 15] = b'"ngram_size": 1'
-        struct.pack_into("<I", data, len(INDEX_MAGIC) + 8, zlib.crc32(data[len(INDEX_MAGIC) + 12 :]))
-        path.write_bytes(bytes(data))
-        with pytest.raises(IndexCorruptError, match="ngram_size"):
-            load_index(str(path))
+        # one-character n-grams, still sorted and distinct, one per posting list
+        grams = [chr(0x4E00 + slot) for slot in range(len(mini_index.grams))]
+        text = np.frombuffer("".join(grams).encode("utf-8"), dtype=np.uint8)
+        offsets = np.arange(len(grams) + 1, dtype=np.int64)
+        path = _tampered(tmp_path, mini_index, gram_text=text, gram_offsets=offsets)
+        with pytest.raises(IndexCorruptError, match="3 characters long"):
+            load_index(path)
 
     def test_checksum_catches_a_flipped_payload_byte(self, tmp_path, mini_index):
         path = tmp_path / "gaz.idx"
@@ -389,6 +390,18 @@ class TestLoaderValidator:
         path.write_bytes(bytes(data))
         with pytest.raises(IndexCorruptError, match="checksum"):
             load_index(str(path))
+
+    def test_version_two_file_is_refused(self, tmp_path, mini_index):
+        # the version-2 layout: the same container with the retrieval rule in
+        # the config
+        path = str(tmp_path / "v2.idx")
+        config = {
+            "ngram_size": 3, "max_candidates": 50, "max_edit_distance": 2, "fuzzy_min_shared_ngrams": 2,
+        }
+        arrays = {name: np.asarray(mini_index.arrays[name], dtype) for name, dtype in _ARRAYS.items()}
+        artifact.write(path, INDEX_MAGIC, 2, {"config": config}, arrays)
+        with pytest.raises(IndexVersionError, match="version 2.*build-index"):
+            load_index(path)
 
     def test_version_one_file_is_refused(self, tmp_path):
         path = tmp_path / "v1.idx"
@@ -509,13 +522,8 @@ def _queries(draw, entries):
 @given(data=st.data())
 def test_query_equals_dict_index_oracle(tmp_path_factory, data):
     entries = data.draw(_gazetteers(), label="entries")
-    config = IndexConfig(
-        ngram_size=data.draw(st.integers(2, 4), label="ngram_size"),
-        fuzzy_min_shared_ngrams=data.draw(st.integers(1, 3), label="min_shared"),
-        max_edit_distance=data.draw(st.integers(0, 3), label="max_edit_distance"),
-    )
-    index = build_index(entries, config)
-    oracle = build_dict_index(entries, config)
+    index = build_index(entries)
+    oracle = build_dict_index(entries)
     folder = tmp_path_factory.mktemp("oracle")
     save_index(index, str(folder / "a.idx"))
     save_index(index, str(folder / "b.idx"))

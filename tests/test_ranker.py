@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ class TestRankerConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"batch_size": 1.5}, {"epochs": True}, {"seed": 2.0}, {"use_population_feature": 1}],
+        [{"batch_size": 1.5}, {"epochs": True}, {"seed": 2.0}, {"score_mode": 1}],
     )
     def test_rejects_wrong_types(self, kwargs):
         with pytest.raises(TypeError):
@@ -312,14 +313,13 @@ class TestPackedKernel:
         counts=st.lists(st.integers(1, 8), min_size=1, max_size=6),
         score_mode=st.sampled_from(["sigmoid", "logit"]),
         multitask=st.sampled_from([0.0, 0.5]),
-        population=st.booleans(),
         dropout=st.sampled_from([0.0, 0.3]),
         zero_oov_country=st.booleans(),
         seed=st.integers(0, 2**16),
         data=st.data(),
     )
     def test_window_matches_per_example_oracle(
-        self, counts, score_mode, multitask, population, dropout, zero_oov_country, seed, data
+        self, counts, score_mode, multitask, dropout, zero_oov_country, seed, data
     ):
         model = tiny_model(
             dim=8,
@@ -328,7 +328,6 @@ class TestPackedKernel:
             seed=seed,
             score_mode=score_mode,
             multitask_country_weight=multitask,
-            use_population_feature=population,
             dropout=dropout,
         )
         if zero_oov_country:
@@ -555,7 +554,7 @@ class TestGradientCheck:
             (4, 5, {}),
             (4, 5, {"score_mode": "logit"}),
             (4, 5, {"multitask_country_weight": 0.5}),
-            (4, 5, {"use_population_feature": False}),
+            (4, 5, {"score_mode": "logit", "multitask_country_weight": 0.5}),
             (7, 3, {}),
         ],
     )
@@ -664,7 +663,7 @@ class TestModelFile:
     def rewrite(path, edit_header=None, edit_payload=None):
         """Rewrite a model file with its JSON header and/or its parameter
         payload edited in place, keeping the file well-formed otherwise: the
-        header length and checksum are recomputed."""
+        header padding, header length and checksum are recomputed."""
         blob = open(path, "rb").read()
         prefix = len(MODEL_MAGIC) + 12
         (header_len,) = struct.unpack_from("<I", blob, len(MODEL_MAGIC) + 4)
@@ -674,7 +673,8 @@ class TestModelFile:
             edit_header(header)
         if edit_payload is not None:
             edit_payload(payload)
-        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        header_bytes += b" " * (-(prefix + len(header_bytes)) % 8)
         body = header_bytes + bytes(payload)
         with open(path, "wb") as fh:
             fh.write(blob[: len(MODEL_MAGIC) + 4])
@@ -684,8 +684,6 @@ class TestModelFile:
     @pytest.mark.parametrize(
         "edit",
         [
-            # same byte count, so only the shape check can catch it
-            lambda h: h["params"][3].__setitem__(1, h["params"][3][1][::-1]),
             lambda h: h.__setitem__("provider_dim", h["provider_dim"] + 1),
             lambda h: h["countries"].append("XX"),
             lambda h: h["feature_classes"].pop(),
@@ -694,7 +692,6 @@ class TestModelFile:
             lambda h: h["countries"].__setitem__(0, "AA"),
         ],
         ids=[
-            "hidden_w-transposed",
             "provider_dim",
             "extra-country",
             "missing-feature-class",
@@ -731,8 +728,8 @@ class TestModelFile:
             lambda h: h.__setitem__("provider_dim", float("inf")),
             lambda h: h.__setitem__("provider_dim", -float("inf")),
             lambda h: h.__setitem__("provider_dim", 16.5),
-            lambda h: h["params"][2][1].__setitem__(1, float("inf")),
-            lambda h: h["params"][0][1].__setitem__(0, 10**30),
+            lambda h: h["arrays"]["context_proj"].__setitem__("length", float("inf")),
+            lambda h: h["arrays"]["country_emb"].__setitem__("length", 10**30),
         ],
         ids=["provider_dim-inf", "provider_dim-neg-inf", "provider_dim-float", "dim-inf", "dim-huge"],
     )
@@ -752,6 +749,35 @@ class TestModelFile:
 
         self.rewrite(path, edit_payload=poison)
         with pytest.raises(ModelCorruptError):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["countries", "feature_classes"])
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_vocabulary_entry_not_a_string(self, tmp_path, key, value):
+        # the vocabulary keeps its length, so only the type check can catch it
+        _, path = self.make_trained(tmp_path)
+        self.rewrite(path, edit_header=lambda h: h[key].__setitem__(-1, value))
+        with pytest.raises(ModelCorruptError, match=key):
+            load_model(path)
+
+    def test_version_two_file_is_refused(self, tmp_path):
+        model, path = self.make_trained(tmp_path)
+        # the version-2 layout: an unpadded header with a parameter manifest
+        header = {
+            "format_version": 2,
+            "config": {**asdict(model.config), "use_population_feature": True},
+            "provider_dim": model.provider_dim,
+            "countries": model.countries,
+            "feature_classes": model.feature_classes,
+            "metadata": model.metadata,
+            "params": [[name, list(array.shape)] for name, array in model.params.items()],
+        }
+        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        payload = b"".join(array.astype("<f8").tobytes() for array in model.params.values())
+        with open(path, "wb") as fh:
+            fh.write(MODEL_MAGIC + struct.pack("<III", 2, len(head), zlib.crc32(head + payload)))
+            fh.write(head + payload)
+        with pytest.raises(ModelVersionError, match="version 2"):
             load_model(path)
 
     def test_bumped_version(self, tmp_path):
