@@ -9,6 +9,7 @@ as the full ``allCountries.txt`` dump.
 from __future__ import annotations
 
 import logging
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
@@ -50,9 +51,9 @@ class CorruptGazetteerError(GazetteerError):
     """Raised when more than half of the input lines are malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GazetteerEntry:
-    """One row of the gazetteer."""
+    """One row of the gazetteer. Slotted: an entry carries no ``__dict__``."""
 
     geoname_id: int
     name: str
@@ -129,18 +130,20 @@ def _parse_line(line: str) -> GazetteerEntry | None:
     if feature_class not in FEATURE_CLASSES:
         return None
     alternatives = tuple(a.strip() for a in cols[3].split(",") if a.strip())
+    ascii_name = cols[2].strip()
+    # one shared object per distinct code, and per ascii name equal to name
     return GazetteerEntry(
         geoname_id=geoname_id,
         name=name,
-        ascii_name=cols[2].strip(),
+        ascii_name=name if ascii_name == name else ascii_name,
         alternative_names=alternatives,
         latitude=latitude,
         longitude=longitude,
-        feature_class=feature_class,
-        feature_code=cols[7].strip(),
-        country_code=cols[8].strip().upper(),
-        admin1_code=cols[10].strip(),
-        admin2_code=cols[11].strip(),
+        feature_class=sys.intern(feature_class),
+        feature_code=sys.intern(cols[7].strip()),
+        country_code=sys.intern(cols[8].strip().upper()),
+        admin1_code=sys.intern(cols[10].strip()),
+        admin2_code=sys.intern(cols[11].strip()),
         population=population,
     )
 

@@ -21,7 +21,8 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from itertools import chain, pairwise
+from collections import defaultdict
+from itertools import chain, count, pairwise
 from typing import Sequence
 
 import numpy as np
@@ -278,54 +279,62 @@ def build_index(entries: Sequence[GazetteerEntry], config: IndexConfig | None = 
     """
     if not entries:
         raise ValueError("cannot build an index from an empty entry list")
-    config = config or IndexConfig()
+    return GazetteerIndex(config or IndexConfig(), _columns(entries), entries)
+
+
+def _columns(entries: Sequence[GazetteerEntry]) -> dict[str, np.ndarray]:
+    """Every array of an index over entries. Strings are numbered at first
+    sight, then by sorted rank; (n-gram, row) pairs become CSR postings by one
+    stable sort. The scratch dies here, before the index decodes its tables."""
+    n = len(entries)
     codes = sorted({getattr(entry, column) for entry in entries for column in _CODE_COLUMNS})
     code_of = {code: i for i, code in enumerate(codes)}
     names: list[str] = []
-    entry_names = [0]
-    pairs: list[str] = []  # every entry's variants, entry after entry
-    entry_variants = [0]
-    postings: dict[str, list[int]] = {}
-    for row, entry in enumerate(entries):
+    variant_first, gram_first = defaultdict(count().__next__), defaultdict(count().__next__)
+    # entry after entry: each entry's counts, and its variant and n-gram numbers
+    name_counts, variant_counts, gram_counts = [], [], []
+    pair_variants, pair_grams = [], []
+    for entry in entries:
         names += (entry.name, entry.ascii_name, *entry.alternative_names)
-        entry_names.append(len(names))
+        name_counts.append(2 + len(entry.alternative_names))
         own = entry.name_variants()
-        pairs += own
-        entry_variants.append(len(pairs))
-        grams: set[str] = set()
-        for name in own:
-            grams.update(char_ngrams(name, NGRAM_SIZE))
-        for gram in grams:
-            rows = postings.get(gram)
-            if rows is None:
-                postings[gram] = [row]
-            else:
-                rows.append(row)
-    variants = sorted(set(pairs))
-    variant_id = dict(zip(variants, range(len(variants))))
-    gram_list = sorted(postings)
-    arrays = {
-        "geoname_id": np.array([e.geoname_id for e in entries], dtype=np.int64),
-        "latitude": np.array([e.latitude for e in entries], dtype=np.float64),
-        "longitude": np.array([e.longitude for e in entries], dtype=np.float64),
-        "population": np.array([e.population for e in entries], dtype=np.int64),
+        pair_variants += map(variant_first.__getitem__, own)
+        variant_counts.append(len(own))
+        own_grams = set(chain.from_iterable(char_ngrams(name, NGRAM_SIZE) for name in own))
+        pair_grams += map(gram_first.__getitem__, own_grams)
+        gram_counts.append(len(own_grams))
+    variants, variant_rank = _ranked(variant_first)
+    grams, gram_rank = _ranked(gram_first)
+    variant_ids = variant_rank[np.array(pair_variants, dtype=np.int32)]
+    gram_of_pair = gram_rank[np.array(pair_grams, dtype=np.int32)]
+    del pair_variants, pair_grams
+    row_of_pair = np.repeat(np.arange(n, dtype=np.int32), gram_counts)
+    return {
         **{
-            column: np.array([code_of[getattr(e, column)] for e in entries], dtype=np.int32)
+            column: np.fromiter(map(operator.attrgetter(column), entries), _ARRAYS[column], n)
+            for column in ("geoname_id", "latitude", "longitude", "population")
+        },
+        **{
+            column: np.fromiter(map(code_of.get, map(operator.attrgetter(column), entries)), np.int32, n)
             for column in _CODE_COLUMNS
         },
         **_string_table("code", codes),
         **_string_table("name", names),
-        "entry_names": np.array(entry_names, dtype=np.int64),
+        "entry_names": _offsets(name_counts),
         **_string_table("variant", variants),
-        "entry_variants": np.array(entry_variants, dtype=np.int64),
-        "variant_ids": np.fromiter(map(variant_id.__getitem__, pairs), dtype=np.int32, count=len(pairs)),
-        **_string_table("gram", gram_list),
-        "posting_offsets": _offsets([len(postings[gram]) for gram in gram_list]),
-        "postings": np.fromiter(
-            chain.from_iterable(postings[gram] for gram in gram_list), dtype=np.int32
-        ),
+        "entry_variants": _offsets(variant_counts),
+        "variant_ids": variant_ids,
+        **_string_table("gram", grams),
+        "posting_offsets": _offsets(np.bincount(gram_of_pair, minlength=len(grams))),
+        "postings": row_of_pair[np.argsort(gram_of_pair, kind="stable")],
     }
-    return GazetteerIndex(config, arrays, entries)
+
+
+def _ranked(first_seen: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The strings of first_seen sorted, and the rank of each one's number."""
+    strings = sorted(first_seen)
+    numbers = np.fromiter(map(first_seen.__getitem__, strings), dtype=np.int32, count=len(strings))
+    return strings, np.argsort(numbers).astype(np.int32)
 
 
 def _string_table(prefix: str, strings: Sequence[str]) -> dict[str, np.ndarray]:

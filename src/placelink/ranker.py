@@ -164,6 +164,8 @@ class RankerModel:
             raise ValueError("vocabulary row 0 must be the OOV token")
         self._country_rows = {c: i for i, c in enumerate(self.countries)}
         self._fclass_rows = {c: i for i, c in enumerate(self.feature_classes)}
+        if len(self._country_rows) + len(self._fclass_rows) < len(self.countries) + len(self.feature_classes):
+            raise ValueError("vocabulary entries must be distinct")
         if self.provider_dim < 1:
             raise ValueError("provider_dim must be >= 1")
         missing = [name for name in _PARAM_ORDER if name not in self.params]

@@ -4,8 +4,10 @@ Deliberately written differently from the library code: the edit distance is
 a full-matrix DP or a banded DP where the library runs a bit-parallel kernel,
 the trigram extraction is a one-liner, the candidate scan is an exhaustive
 loop over every entry, the dict index keeps Python dicts of id lists where the
-library keeps CSR arrays, and the ranker runs one example at a time where the
-library packs a window of examples into one pass.
+library keeps CSR arrays, the reference index columns come from a dict of
+per-gram row lists where the library sorts flat (gram, row) pairs, and the
+ranker runs one example at a time where the library packs a window of
+examples into one pass.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -22,8 +25,11 @@ from placelink.index import (
     MAX_EDIT_DISTANCE,
     MIN_SHARED_NGRAMS,
     NGRAM_SIZE,
+    _CODE_COLUMNS,
     CandidateSet,
     IndexConfig,
+    _offsets,
+    _string_table,
     char_ngrams,
     retrieval_score,
 )
@@ -158,6 +164,52 @@ def dict_query(index: DictIndex, name: str, k: int | None = None) -> CandidateSe
         normalized_query=normalized,
         candidates=[(index.entry_store[gid], score) for score, gid in scored[:k]],
     )
+
+
+def reference_columns(entries: list[GazetteerEntry]) -> dict[str, np.ndarray]:
+    """The index arrays as the library built them before its flat-pair
+    build: Python lists of offsets and variant strings, and a dict of row
+    lists per n-gram, filled entry after entry so rows ascend."""
+    codes = sorted({getattr(entry, column) for entry in entries for column in _CODE_COLUMNS})
+    code_of = {code: i for i, code in enumerate(codes)}
+    names: list[str] = []
+    entry_names = [0]
+    pairs: list[str] = []  # every entry's variants, entry after entry
+    entry_variants = [0]
+    postings: dict[str, list[int]] = {}
+    for row, entry in enumerate(entries):
+        names += (entry.name, entry.ascii_name, *entry.alternative_names)
+        entry_names.append(len(names))
+        own = entry.name_variants()
+        pairs += own
+        entry_variants.append(len(pairs))
+        grams: set[str] = set()
+        for name in own:
+            grams.update(char_ngrams(name, NGRAM_SIZE))
+        for gram in grams:
+            postings.setdefault(gram, []).append(row)
+    variants = sorted(set(pairs))
+    variant_id = dict(zip(variants, range(len(variants))))
+    gram_list = sorted(postings)
+    return {
+        "geoname_id": np.array([e.geoname_id for e in entries], dtype=np.int64),
+        "latitude": np.array([e.latitude for e in entries], dtype=np.float64),
+        "longitude": np.array([e.longitude for e in entries], dtype=np.float64),
+        "population": np.array([e.population for e in entries], dtype=np.int64),
+        **{
+            column: np.array([code_of[getattr(e, column)] for e in entries], dtype=np.int32)
+            for column in _CODE_COLUMNS
+        },
+        **_string_table("code", codes),
+        **_string_table("name", names),
+        "entry_names": np.array(entry_names, dtype=np.int64),
+        **_string_table("variant", variants),
+        "entry_variants": np.array(entry_variants, dtype=np.int64),
+        "variant_ids": np.array([variant_id[v] for v in pairs], dtype=np.int32),
+        **_string_table("gram", gram_list),
+        "posting_offsets": _offsets([len(postings[gram]) for gram in gram_list]),
+        "postings": np.fromiter(chain.from_iterable(postings[gram] for gram in gram_list), dtype=np.int32),
+    }
 
 
 def coherence_features(

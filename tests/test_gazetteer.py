@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_entry
+from placelink.index import build_index, load_index, save_index
 from placelink.gazetteer import (
     CorruptGazetteerError,
     GazetteerEntry,
@@ -21,6 +24,7 @@ from placelink.gazetteer import (
     parse_gazetteer,
     write_gazetteer_tsv,
 )
+from placelink.toygaz import build_toy_gazetteer
 
 
 def tsv_line(
@@ -257,3 +261,67 @@ class TestAdminTables:
         b = make_entry(3, "Texas", fclass="A", fcode="ADM1", cc="US", admin1="TX", population=10)
         tables = build_admin_tables([a, b])
         assert tables.adm1_id("US", "TX") == 3
+
+
+class TestParsedEntryMemory:
+    """A parsed entry carries no instance dict and shares its strings: one
+    object per distinct code, and the name itself as an equal ascii name."""
+
+    def parse(self):
+        lines = [
+            tsv_line("1", "Paris", ascii_name="Paris", cc="fr", admin1="11", admin2="75"),
+            tsv_line("2", "Lyon", ascii_name="Lyon", cc="fr", admin1="84", admin2="69"),
+            tsv_line("3", "Évry", ascii_name="Evry", cc="FR", admin1="11", admin2="91"),
+        ]
+        return parse_gazetteer(lines).entries
+
+    def test_entries_have_no_instance_dict(self):
+        for entry in self.parse():
+            assert not hasattr(entry, "__dict__")
+
+    def test_entries_of_one_country_share_their_codes(self):
+        paris, lyon, evry = self.parse()
+        assert paris.country_code is lyon.country_code is evry.country_code
+        assert paris.feature_code is lyon.feature_code is evry.feature_code
+        assert paris.admin1_code is evry.admin1_code
+
+    def test_equal_ascii_name_is_the_name(self):
+        paris, _, evry = self.parse()
+        assert paris.ascii_name is paris.name
+        assert evry.ascii_name == "Evry" and evry.name == "Évry"
+
+
+class TestSlottedEntryValues:
+    """Slotted entries keep the value semantics of a frozen dataclass."""
+
+    def test_pickle_round_trip(self, mini_entries):
+        assert pickle.loads(pickle.dumps(mini_entries)) == mini_entries
+
+    def test_replace_and_asdict(self, mini_entries):
+        paris = mini_entries[1]
+        moved = dataclasses.replace(paris, population=1)
+        assert moved.population == 1 and moved != paris
+        assert dataclasses.replace(moved, population=paris.population) == paris
+        fields = dataclasses.asdict(paris)
+        assert list(fields) == [f.name for f in dataclasses.fields(GazetteerEntry)]
+        assert GazetteerEntry(**fields) == paris
+
+    def test_eq_and_hash_are_by_value(self, mini_entries):
+        paris = mini_entries[1]
+        twin = GazetteerEntry(**dataclasses.asdict(paris))
+        assert twin == paris and twin is not paris
+        assert hash(twin) == hash(paris) == hash(dataclasses.astuple(paris))
+        assert len({*mini_entries, twin}) == len(mini_entries)
+
+    def test_frozen(self, mini_entries):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mini_entries[0].population = 1
+
+    def test_toy_parsed_and_materialised_entries_are_equal(self, tmp_path):
+        built = build_toy_gazetteer(n_countries=3, cities_per_adm1=5)
+        write_gazetteer_tsv(built, str(tmp_path / "toy.tsv"))
+        parsed = load_gazetteer(str(tmp_path / "toy.tsv")).entries
+        save_index(build_index(parsed), str(tmp_path / "toy.idx"))
+        materialised = load_index(str(tmp_path / "toy.idx")).entries()
+        assert built == parsed == materialised
+        assert all(not hasattr(entry, "__dict__") for entry in (*built, *materialised))

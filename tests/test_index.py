@@ -6,20 +6,22 @@ acceptance suite; here a brute-force rescan checks the mini fixture.
 
 from __future__ import annotations
 
+import gc
 import math
 import struct
 import sys
+import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import damage_bytes, entry_store, make_entry
-from oracles import build_dict_index, dict_query, scan_candidates
+from oracles import build_dict_index, dict_query, reference_columns, scan_candidates
 from placelink import artifact
 from placelink.gazetteer import normalize_name
 from placelink.index import (
@@ -27,6 +29,7 @@ from placelink.index import (
     INDEX_MAGIC,
     MIN_SHARED_NGRAMS,
     CandidateSet,
+    GazetteerIndex,
     IndexConfig,
     IndexCorruptError,
     IndexFileError,
@@ -38,6 +41,7 @@ from placelink.index import (
     retrieval_score,
     save_index,
 )
+from placelink.toygaz import build_toy_gazetteer
 
 
 def exact_index(index) -> dict[str, list[int]]:
@@ -477,10 +481,10 @@ _ACCENTS = str.maketrans("aeiou", "áéíöü")
 
 
 @st.composite
-def _gazetteers(draw):
-    """Small worlds with homonyms (names drawn from a small pool), 3- and
-    4-letter names, alternative names and diacritics."""
-    pool = draw(st.lists(st.text(_LETTERS, min_size=3, max_size=8), min_size=1, max_size=6, unique=True))
+def _gazetteers(draw, shortest=3):
+    """Small worlds with homonyms (names drawn from a small pool), names of
+    shortest to 8 letters, alternative names and diacritics."""
+    pool = draw(st.lists(st.text(_LETTERS, min_size=shortest, max_size=8), min_size=1, max_size=6, unique=True))
     pool += [name.translate(_ACCENTS) for name in pool]
     n = draw(st.integers(1, 20))
     ids = draw(st.lists(st.integers(1, 10**7), min_size=n, max_size=n, unique=True))
@@ -541,3 +545,35 @@ def test_query_equals_dict_index_oracle(tmp_path_factory, data):
                 (e.geoname_id, s) for e, s in want.candidates
             ]
             assert got.entries() == want.entries()
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=_gazetteers(shortest=1))
+@example(entries=[make_entry(1, "Ab"), make_entry(2, "É", alternates=("Y",))])
+def test_build_equals_reference_columns(tmp_path_factory, entries):
+    """The flat-pair build gives the arrays and file bytes of the dict-of-lists
+    build, also when names of one or two letters leave no n-gram at all."""
+    index = build_index(entries)
+    want = reference_columns(entries)
+    for name in ("gram_text", "gram_offsets", "posting_offsets", "postings", "entry_names", "entry_variants"):
+        assert index.arrays[name].dtype == want[name].dtype
+        assert np.array_equal(index.arrays[name], want[name]), name
+    folder = tmp_path_factory.mktemp("columns")
+    save_index(index, str(folder / "built.idx"))
+    save_index(GazetteerIndex(index.config, want), str(folder / "reference.idx"))
+    assert (folder / "built.idx").read_bytes() == (folder / "reference.idx").read_bytes()
+
+
+def test_build_peak_memory_stays_near_what_it_keeps():
+    """build_index frees its scratch before the index decodes its tables: its
+    traced peak stays within 1.5 times the memory the index keeps."""
+    entries = build_toy_gazetteer()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = build_index(entries)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index) == len(entries)
+    assert peak <= 1.5 * kept, f"peak {peak} B for {kept} B kept ({peak / kept:.2f}x)"

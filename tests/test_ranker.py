@@ -760,6 +760,15 @@ class TestModelFile:
         with pytest.raises(ModelCorruptError, match=key):
             load_model(path)
 
+    @pytest.mark.parametrize("key", ["countries", "feature_classes"])
+    def test_vocabulary_entry_repeated(self, tmp_path, key):
+        # a repeated entry keeps the length, so the shapes still agree; the
+        # last row would be unreachable and its twin scored with it
+        _, path = self.make_trained(tmp_path)
+        self.rewrite(path, edit_header=lambda h: h[key].__setitem__(-1, h[key][-2]))
+        with pytest.raises(ModelCorruptError, match="distinct"):
+            load_model(path)
+
     def test_version_two_file_is_refused(self, tmp_path):
         model, path = self.make_trained(tmp_path)
         # the version-2 layout: an unpadded header with a parameter manifest
